@@ -44,8 +44,6 @@ except lg.errors.AdmissibilityError as err:
 print("\n== partition ==")
 slices = {1: lg.build_slices(fam, box)}
 complex = lg.build_cells([fam], box, grid=64)
-lg.attach_system(complex, sys)
-lg.attach_controls(complex, controls)
 for c in complex.cells:
     print("cell %-6s label %-8s rep %s" % (c.id, c.label, c.rep_point))
 
@@ -57,7 +55,7 @@ for key, tb in sorted(bounds.timings.items()):
              "inf" if tb.t_hi == math.inf else "%.4f" % tb.t_hi))
 
 print("\n== automaton ==")
-auto = lg.build_tga(complex, controls, bounds, signs)
+auto = lg.build_tga(sys, complex, controls, bounds, signs)
 print("%d non-sink locations, %d transitions"
       % (len(auto.non_sink_locations()), len(auto.transitions)))
 for t in sorted(auto.transitions, key=lambda t: (t.source, t.target, t.kind)):
@@ -84,7 +82,7 @@ print("embedding check: %d traces, %d violations, completeness %.2f"
 
 # Negative control: corrupt one guard and the checker must complain.
 bad = bounds.with_override(1, 2, "g0", t_lo=2.0)
-auto_bad = lg.build_tga(complex, controls, bad, signs)
+auto_bad = lg.build_tga(sys, complex, controls, bad, signs)
 rep_bad = cf.check_sound(sys, auto_bad, res.strategy, complex.cell_ids(),
                          samples=50, horizon=10.0, step=2e-3, seed=0,
                          controls=controls)

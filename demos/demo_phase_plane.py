@@ -8,7 +8,8 @@ the certified product: every start in the initial ring reaches the goal ring
 without touching the obstacle ring, within the reported time bound.
 
 Run:  python3 demos/demo_phase_plane.py
-Writes trace CSVs and the strategy JSON under demos/out/.
+Writes trace CSVs, the strategy JSON and the automaton DOT graph under
+demos/out/, which is generated and git-ignored.
 """
 
 import json
@@ -47,10 +48,8 @@ signs, _ = lg.admissibility_map(sys, controls, families, grid=96)
 print("building cells, bounds, and the automaton...")
 slices = {f.index: lg.build_slices(f, box, grid=96) for f in families}
 complex = lg.build_cells(families, box, grid=96)
-lg.attach_system(complex, sys)
-lg.attach_controls(complex, controls)
 bounds = lg.compute_bounds(sys, controls, families, slices, grid=96)
-auto = lg.build_tga(complex, controls, bounds, signs)
+auto = lg.build_tga(sys, complex, controls, bounds, signs)
 
 goal = [c.id for c in complex.cells if c.y[0] == 2]
 obstacle = [c.id for c in complex.cells if c.y[1] == 4]

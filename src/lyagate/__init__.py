@@ -28,7 +28,7 @@ from .bounds import (
 from .tga import (
     Location, FamilyUpdate, UpdateMap, Transition, TimedGameAutomaton,
     build_tga, delay, apply_update, switch_update, enabled, run_feasible,
-    zero_valuation, attach_system,
+    zero_valuation,
 )
 from .game import (
     GameObjective, SynthesisResult, synthesize, synthesize_safety,
@@ -36,7 +36,6 @@ from .game import (
 )
 from .sim import (
     Trajectory, HybridTrace, integrate, simulate_closed_loop, default_step,
-    attach_controls,
 )
 from .conformance import (
     SoundnessReport, check_sandwich, check_dwell, check_sound,

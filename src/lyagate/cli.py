@@ -30,9 +30,6 @@ from . import sim as sm
 from . import tga as ta
 from .errors import LyagateError, SpecFileError
 
-JOBS_ENV = "LYAGATE_JOBS"
-
-
 # ---------------------------------------------------------------------------
 # Spec file
 # ---------------------------------------------------------------------------
@@ -132,8 +129,6 @@ class Pipeline:
             self._complex = pt.build_cells(
                 self.spec.families, self.spec.box, grid=self.spec.grid,
                 stability_check=self.spec.stability_check)
-            ta.attach_system(self._complex, self.spec.system)
-            sm.attach_controls(self._complex, self.spec.controls)
         return self._complex
 
     def bounds(self):
@@ -147,8 +142,8 @@ class Pipeline:
     def automaton(self, mode="cells"):
         if mode not in self._tga:
             self._tga[mode] = ta.build_tga(
-                self.complex(), self.spec.controls, self.bounds(),
-                self.signs(), mode=mode)
+                self.spec.system, self.complex(), self.spec.controls,
+                self.bounds(), self.signs(), mode=mode)
         return self._tga[mode]
 
 
@@ -198,12 +193,6 @@ def _load_strategy(arg, complex):
     except (OSError, json.JSONDecodeError) as err:
         raise SpecFileError("cannot read strategy %s: %s" % (arg, err))
     return dict(data["strategy"] if "strategy" in data else data)
-
-
-def _jobs(args):
-    env = os.environ.get(JOBS_ENV)
-    cap = args.jobs if args.jobs is not None else (int(env) if env else 1)
-    return max(1, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +326,6 @@ def build_parser():
                     "Lyapunov level-set partitioning, synthesize switching "
                     "strategies, and validate the abstraction against "
                     "simulated trajectories.")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker cap (or env %s); computations are vectorized, "
-                        "the cap is honored, never exceeded" % JOBS_ENV)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -392,7 +378,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    _jobs(args)
     try:
         return args.func(args)
     except LyagateError as err:

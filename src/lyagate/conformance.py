@@ -12,7 +12,6 @@ must make it fail, which is the checker's own negative control.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,7 +236,6 @@ class SoundnessReport:
     witnessed: set = field(default_factory=set)
     reachable: set = field(default_factory=set)
     completeness: float = 0.0
-    worst_margin: float = math.inf
 
     @property
     def passed(self):
@@ -287,7 +285,7 @@ def initial_valuation(tga, complex, cell, control, x0):
 
 
 def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
-                seed=0, controls=None, eps=None):
+                seed=0, *, controls, eps=None):
     """Embed simulated closed-loop traces into the restricted automaton.
 
     Draws ``samples`` start states uniformly from the given cells, simulates
@@ -297,8 +295,6 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
     there must be none.
     """
     complex = tga.complex
-    if controls is None:
-        controls = getattr(complex, "_controls", [])
     if step is None:
         step = sm.default_step(sys, controls, complex.families)
     if eps is None:

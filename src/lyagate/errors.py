@@ -94,7 +94,7 @@ class OutOfDomainError(LyagateError):
 
 
 class EmptySliceError(LyagateError):
-    """A slice has no sample points inside the domain."""
+    """A slice or cell has no sample points inside the domain."""
 
 
 class FacetSignConflictError(LyagateError):

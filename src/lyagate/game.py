@@ -96,10 +96,6 @@ def _successor_map(tga):
     return succ
 
 
-def _controls(tga):
-    return tga.controls()
-
-
 def synthesize_safety(tga, avoid):
     """Greatest fixed point of 'some control keeps every successor winning'.
 
@@ -108,7 +104,7 @@ def synthesize_safety(tga, avoid):
     """
     avoid = set(avoid) | {"sink"}
     cells = [c for c in tga.cells()]
-    controls = _controls(tga)
+    controls = tga.controls()
     succ = _successor_map(tga)
 
     winning = {c for c in cells if c not in avoid}
@@ -152,7 +148,7 @@ def synthesize_reach(tga, goal):
     """
     goal = set(goal)
     cells = [c for c in tga.cells()]
-    controls = _controls(tga)
+    controls = tga.controls()
     succ = _successor_map(tga)
 
     bound = {c: 0.0 for c in goal if c in cells}

@@ -353,20 +353,40 @@ class LevelReport:
         }
 
 
-def _polish_to_level(x, a, phi_fn, grad_fns, box, iters=40):
-    """Gauss-Newton projection of x onto the level set phi = a, clipped to the box."""
+def _level_points(fam, level, box, grid, limit, tol):
+    """Points on phi = level, polished from the grid samples nearest the level.
+
+    The ``limit`` grid points whose phi value lies closest to the level are
+    projected together by Gauss-Newton, clipped to the box. A row stops once
+    its residual vanishes or its gradient degenerates, or after 40 steps.
+    Rows whose final residual exceeds ``tol`` (relative to the level) are
+    dropped; the rest come back in candidate order as a (k, n) array.
+    """
+    phi_v = ex.compile_vector(fam.phi)
+    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    pts = box.grid(grid)
+    vals = phi_v(pts)
+    span = float(vals.max() - vals.min())
+    near = np.abs(vals - level)
+    cand = np.flatnonzero(near <= 4.0 * span / grid + 1e-12)
+    cand = cand[np.argsort(near[cand], kind="stable")][:limit]
+    x = pts[cand]
     lo = np.asarray(box.lower)
     hi = np.asarray(box.upper)
-    for _ in range(iters):
-        r = phi_fn(tuple(x)) - a
-        if abs(r) < 1e-14 * max(1.0, abs(a)):
+    scale = max(1.0, abs(level))
+    rows = np.arange(len(x))
+    for _ in range(40):
+        if not len(rows):
             break
-        grad = np.array([fn(tuple(x)) for fn in grad_fns])
-        g2 = float(grad @ grad)
-        if g2 < 1e-30:
-            break
-        x = np.clip(x - r * grad / g2, lo, hi)
-    return x
+        xr = x[rows]
+        r = phi_v(xr) - level
+        grad = np.stack([gv(xr) for gv in grad_vs], axis=1)
+        # row-wise BLAS dot: each row rounds exactly as ``g @ g`` would alone
+        g2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        go = (np.abs(r) >= 1e-14 * scale) & (g2 >= 1e-30)
+        rows = rows[go]
+        x[rows] = np.clip(xr[go] - r[go, None] * grad[go] / g2[go, None], lo, hi)
+    return x[np.abs(phi_v(x) - level) <= tol * scale]
 
 
 def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG):
@@ -376,16 +396,9 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG
     of phi on the box: there the first band has no inner boundary to cross.
     Raises DegenerateLevelError naming the level and a witness point otherwise.
     """
-    n = box.dim
-    phi_fn = ex.compile_scalar(fam.phi)
     phi_v = ex.compile_vector(fam.phi)
-    grad_exprs = fam.gradient(n)
-    grad_fns = [ex.compile_scalar(e) for e in grad_exprs]
-    grad_vs = [ex.compile_vector(e) for e in grad_exprs]
-
-    pts = box.grid(grid)
-    vals = phi_v(pts)
-    span = float(vals.max() - vals.min())
+    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    vals = phi_v(box.grid(grid))
     tiny = 1e-9 * max(1.0, abs(vals.min()), abs(vals.max()))
 
     report = LevelReport(family=fam.index)
@@ -395,21 +408,12 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG
         to_check.insert(0, fam.levels[0])
 
     for a in to_check:
-        near = np.abs(vals - a)
-        thresh = 4.0 * span / grid + 1e-12
-        cand = np.flatnonzero(near <= thresh)
-        cand = cand[np.argsort(near[cand], kind="stable")][:512]
-        kept = []
-        for ci in cand:
-            x = _polish_to_level(np.array(pts[ci]), a, phi_fn, grad_fns, box)
-            if abs(phi_fn(tuple(x)) - a) <= 1e-7 * max(1.0, abs(a)):
-                kept.append(x)
-        if not kept:
+        kept = _level_points(fam, a, box, grid, limit=512, tol=1e-7)
+        if not len(kept):
             report.min_grad[a] = math.inf
             report.samples[a] = 0
             continue
-        kp = np.array(kept)
-        gnorm = np.sqrt(sum(gv(kp) ** 2 for gv in grad_vs))
+        gnorm = np.sqrt(sum(gv(kept) ** 2 for gv in grad_vs))
         imin = int(np.argmin(gnorm))
         report.min_grad[a] = float(gnorm[imin])
         report.samples[a] = len(kept)
@@ -420,19 +424,5 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG
 
 def sample_level_set(fam, level, box, grid=128, limit=256):
     """Polished points on phi = level inside the box (may be empty)."""
-    n = box.dim
-    phi_fn = ex.compile_scalar(fam.phi)
-    phi_v = ex.compile_vector(fam.phi)
-    grad_fns = [ex.compile_scalar(e) for e in fam.gradient(n)]
-    pts = box.grid(grid)
-    vals = phi_v(pts)
-    span = float(vals.max() - vals.min())
-    near = np.abs(vals - level)
-    cand = np.flatnonzero(near <= 4.0 * span / grid + 1e-12)
-    cand = cand[np.argsort(near[cand], kind="stable")][:limit]
-    out = []
-    for ci in cand:
-        x = _polish_to_level(np.array(pts[ci]), level, phi_fn, grad_fns, box)
-        if abs(phi_fn(tuple(x)) - level) <= 1e-9 * max(1.0, abs(level)):
-            out.append(tuple(float(v) for v in x))
-    return out
+    return [tuple(p) for p in
+            _level_points(fam, level, box, grid, limit, tol=1e-9).tolist()]

@@ -17,7 +17,9 @@ import numpy as np
 from scipy import ndimage
 
 from . import expr as ex
-from .errors import CoverageError, OutOfDomainError, ResolutionError
+from .errors import (
+    CoverageError, EmptySliceError, OutOfDomainError, ResolutionError,
+)
 from .model import Box, PartitioningFamily
 
 DEFAULT_GRID = 64
@@ -120,8 +122,15 @@ class CellComplex:
         self._axes = axes
         self._cell_index_flat = cell_index_flat
         self._by_id = {c.id: c for c in self.cells}
-        self._idx_by_id = {c.id: i for i, c in enumerate(self.cells)}
+        self._cells_by_y = {}
+        for c in self.cells:
+            self._cells_by_y.setdefault(c.y, []).append(c)
         self._points = box.grid(grid)
+        order = np.argsort(cell_index_flat, kind="stable")
+        sizes = np.bincount(cell_index_flat, minlength=len(self.cells))
+        self._grid_points = dict(zip(
+            (c.id for c in self.cells),
+            np.split(self._points[order], np.cumsum(sizes)[:-1])))
         self._touch_cache = {}
         self._adj_by_cell = {}
         for adj in self.adjacency:
@@ -149,8 +158,7 @@ class CellComplex:
         return out
 
     def cell_grid_points(self, cell_id):
-        mask = self._cell_index_flat == self._idx_by_id[cell_id]
-        return self._points[mask]
+        return self._grid_points[cell_id]
 
     def level_crossing_points(self, family_index, level):
         """Points on the level surface inside X where the gradient does not vanish.
@@ -205,7 +213,7 @@ class CellComplex:
             res = self.locate(tuple(x))
             if res.primary == cell_id and not res.boundary_families:
                 return tuple(float(v) for v in x)
-        raise RuntimeError("could not sample an interior point of %s" % cell_id)
+        raise EmptySliceError("could not sample an interior point of %s" % cell_id)
 
     def to_dict(self):
         return {
@@ -444,7 +452,7 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
     xa = np.asarray(x, dtype=float)
     candidates = []
     for combo in itertools.product(*band_options):
-        matching = [c for c in complex.cells if c.y == tuple(combo)]
+        matching = complex._cells_by_y.get(combo)
         if not matching:
             continue
         best = None

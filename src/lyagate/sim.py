@@ -20,7 +20,9 @@ from typing import Mapping
 import numpy as np
 
 from . import expr as ex
-from .errors import ChatteringError, NonFiniteStateError, StrategyError
+from .errors import (
+    ChatteringError, NonFiniteStateError, OutOfDomainError, StrategyError,
+)
 from .partition import CellComplex
 
 EVENT_TIME_TOL = 1e-10
@@ -68,7 +70,6 @@ class HybridTrace:
         """(control, t_start, t_end) pieces between consecutive events."""
         times = self.trajectory.times
         bounds = [times[0]] + [e.time for e in self.events] + [times[-1]]
-        ctrls = []
         idx = 0
         out = []
         for a, b in zip(bounds, bounds[1:]):
@@ -170,8 +171,8 @@ def _as_chooser(strategy):
     raise StrategyError("strategy must be a mapping or a callable")
 
 
-def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h,
-                         controls=None, rng=None, chatter_limit=10):
+def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
+                         controls, rng=None, chatter_limit=10):
     """Integrate dx/dt = f(x, g(x)) with g chosen per cell by the strategy.
 
     ``strategy`` is either a mapping cell id -> control name or a callable
@@ -180,12 +181,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h,
     crossed family, level, and both cells.
     """
     chooser = _as_chooser(strategy)
-    if controls is None:
-        controls = getattr(complex, "_controls", [])
     controls = {g.name: g for g in controls}
-    if not controls:
-        raise StrategyError("no control laws supplied; pass controls= or "
-                            "call attach_controls(complex, controls)")
     fields = {name: sys.field_function(g) for name, g in controls.items()}
     families = complex.families
     phi_fns = {fam.index: ex.compile_scalar(fam.phi) for fam in families}
@@ -302,13 +298,14 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h,
         else:
             try:
                 loc = complex.locate(tuple(probe))
+            except OutOfDomainError:
+                pass
+            else:
                 cand = {adj.other(cell) for adj in partners}
                 for cid in (loc.primary,) + loc.cells:
                     if cid in cand:
                         new_cell = cid
                         break
-            except Exception:
-                new_cell = None
             if new_cell is None:
                 pa = np.asarray(probe)
                 dist = [(min(np.linalg.norm(np.asarray(p) - pa)
@@ -358,9 +355,3 @@ def _bisect_event(fun, step, f0, tol=EVENT_TIME_TOL, iters=80):
         if hi - lo < tol:
             break
     return hi
-
-
-def attach_controls(complex, controls):
-    """Record the control set on the complex for closed-loop simulation."""
-    complex._controls = list(controls)
-    return complex

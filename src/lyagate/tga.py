@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from .errors import (
-    FacetSignConflictError, LyagateError, NegativeClockError, UnboundedRatioError,
-)
+from .errors import FacetSignConflictError, NegativeClockError, UnboundedRatioError
+from .model import lie_derivative
 
 NEG_CLOCK_TOL = 1e-12
 GUARD_TOL = 1e-9
@@ -60,9 +59,6 @@ class UpdateMap:
     @staticmethod
     def of(mapping):
         return UpdateMap(tuple(sorted(mapping.items())))
-
-    def as_dict(self):
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,8 @@ def _zones_and_adjacency(complex, mode):
     return zones, adj
 
 
-def build_tga(complex, controls, bounds, sign_table, mode="cells"):
-    """Assemble the timed game automaton from a cell complex and bounds table.
+def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
+    """Assemble the timed game automaton of ``sys`` from a cell complex and bounds.
 
     ``sign_table`` maps (family, slice index, control name) -> +1/-1 as
     produced by model.admissibility_map. Uncontrollable transitions follow
@@ -323,11 +319,6 @@ def build_tga(complex, controls, bounds, sign_table, mode="cells"):
                 invariants[name] = tuple(inv)
 
     # Lie-derivative evaluators for the facet sign checks
-    sys = getattr(complex, "_system", None)
-    if sys is None:
-        raise LyagateError("cell complex has no attached system; "
-                           "call attach_system(complex, sys) before build_tga")
-    from .model import lie_derivative
     phidot = {(fam.index, g.name): lie_derivative(sys, g, fam).function()
               for fam in families for g in controls}
 
@@ -425,12 +416,6 @@ def build_tga(complex, controls, bounds, sign_table, mode="cells"):
         diagnostics={"level_exits_without_neighbor": level_exit_notes})
 
 
-def attach_system(complex, sys):
-    """Record the control system on the complex for facet-sign evaluation."""
-    complex._system = sys
-    return complex
-
-
 # ---------------------------------------------------------------------------
 # Semantics
 # ---------------------------------------------------------------------------
@@ -441,14 +426,6 @@ def _guard_ok(guard, v, tol=GUARD_TOL):
 
 def _invariant_ok(inv, v, tol=GUARD_TOL):
     return all(v[fam - 1][0] <= bound + tol for fam, bound in inv)
-
-
-def invariant_slack(tga, name, v):
-    """Largest delay permitted by the location invariant (inf when none)."""
-    slack = math.inf
-    for fam, bound in tga.invariant_of(name):
-        slack = min(slack, bound - v[fam - 1][0])
-    return slack
 
 
 def enabled(state, tga):
@@ -484,28 +461,23 @@ def run_feasible(tga, timed_sequence, initial_valuation=None, final_dwell=0.0,
     the gaps between entries. Guards are checked at firing time, invariants
     through every dwell (linear clocks: endpoint check suffices), and the
     final location's invariant for ``final_dwell`` more time units. When
-    several transitions connect a pair, each is tried (depth-first).
+    several transitions connect a pair, each is tried (depth-first, with an
+    explicit stack so that long runs need no recursion).
     """
     if not timed_sequence:
         return RunReport(feasible=True)
     v0 = initial_valuation if initial_valuation is not None else zero_valuation(tga.k)
     violations = []
+    last = len(timed_sequence) - 1
 
-    def attempt(i, name, v, t_now):
-        if i == len(timed_sequence) - 1:
-            if final_dwell > 0:
-                if not _invariant_ok(tga.invariant_of(name), delay(v, final_dwell), tol):
-                    violations.append({
-                        "step": i, "kind": "invariant", "location": name,
-                        "detail": "final dwell %.6g exceeds the invariant" % final_dwell})
-                    return None
-            return v
+    def successors(i, name, v, t_now):
+        """States entered from step i, in candidate order; failures are logged."""
         next_name, next_t = timed_sequence[i + 1]
         dt = next_t - t_now
         if dt < -tol:
             violations.append({"step": i, "kind": "time-order", "location": name,
                                "detail": "entry times decrease"})
-            return None
+            return
         dt = max(dt, 0.0)
         v_delayed = delay(v, dt)
         if not _invariant_ok(tga.invariant_of(name), v_delayed, tol):
@@ -513,13 +485,13 @@ def run_feasible(tga, timed_sequence, initial_valuation=None, final_dwell=0.0,
                 "step": i, "kind": "invariant", "location": name,
                 "detail": "dwell %.6g violates invariant %s"
                           % (dt, tga.invariant_of(name))})
-            return None
+            return
         candidates = [t for t in tga.outgoing(name) if t.target == next_name]
         if not candidates:
             violations.append({"step": i, "kind": "missing-edge",
                                "location": name,
                                "detail": "no transition to %s" % next_name})
-            return None
+            return
         for t in candidates:
             if not _guard_ok(t.guard, v_delayed, tol):
                 violations.append({
@@ -538,19 +510,30 @@ def run_feasible(tga, timed_sequence, initial_valuation=None, final_dwell=0.0,
                     "step": i, "kind": "invariant", "location": next_name,
                     "detail": "entry valuation %s violates invariant" % (v2,)})
                 continue
-            result = attempt(i + 1, next_name, v2, next_t)
-            if result is not None:
-                return result
-        return None
+            yield i + 1, next_name, v2, next_t
 
     name0, t0 = timed_sequence[0]
     if not _invariant_ok(tga.invariant_of(name0), v0, tol):
         violations.append({"step": 0, "kind": "invariant", "location": name0,
                            "detail": "initial valuation violates invariant"})
         return RunReport(feasible=False, violations=violations)
-    final_v = attempt(0, name0, v0, t0)
-    if final_v is None:
-        return RunReport(feasible=False, violations=violations,
-                         steps=len(timed_sequence))
-    return RunReport(feasible=True, violations=[], steps=len(timed_sequence),
-                     final_valuation=final_v)
+    stack = [iter([(0, name0, v0, t0)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        i, name, v, t_now = state
+        if i < last:
+            stack.append(successors(i, name, v, t_now))
+            continue
+        if final_dwell > 0 and not _invariant_ok(
+                tga.invariant_of(name), delay(v, final_dwell), tol):
+            violations.append({
+                "step": i, "kind": "invariant", "location": name,
+                "detail": "final dwell %.6g exceeds the invariant" % final_dwell})
+            continue
+        return RunReport(feasible=True, violations=[], steps=len(timed_sequence),
+                         final_valuation=v)
+    return RunReport(feasible=False, violations=violations,
+                     steps=len(timed_sequence))

@@ -26,12 +26,10 @@ class Example1D:
         self.signs, self.sign_tables = lg.admissibility_map(
             self.sys, self.controls, self.families, grid=128)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
-        lg.attach_system(self.complex, self.sys)
-        lg.attach_controls(self.complex, self.controls)
         self.bounds = lg.compute_bounds(
             self.sys, self.controls, self.families, self.slices, grid=grid)
-        self.tga = lg.build_tga(self.complex, self.controls, self.bounds,
-                                self.signs, mode="cells")
+        self.tga = lg.build_tga(self.sys, self.complex, self.controls,
+                                self.bounds, self.signs, mode="cells")
         by_label = {c.label: c.id for c in self.complex.cells}
         self.mid = by_label["[-1,1]"]
         self.left = by_label["[-3,-1]"]
@@ -69,12 +67,10 @@ class PhasePlane:
         self.signs, _ = lg.admissibility_map(
             self.sys, self.controls, self.families, grid=grid)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
-        lg.attach_system(self.complex, self.sys)
-        lg.attach_controls(self.complex, self.controls)
         self.bounds = lg.compute_bounds(
             self.sys, self.controls, self.families, self.slices, grid=grid)
-        self.tga = lg.build_tga(self.complex, self.controls, self.bounds,
-                                self.signs, mode="cells")
+        self.tga = lg.build_tga(self.sys, self.complex, self.controls,
+                                self.bounds, self.signs, mode="cells")
         self.goal = [c.id for c in self.complex.cells if c.y[0] == 2]
         self.obstacle = [c.id for c in self.complex.cells if c.y[1] == 4]
         self.initial = [c.id for c in self.complex.cells if c.y == (4, 3)]

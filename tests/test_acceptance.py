@@ -129,7 +129,8 @@ def test_acceptance_5_soundness_embedding(ex1d):
         assert rep.passed, rep.violations[:1]
 
     bad = ex1d.bounds.with_override(1, 2, "g0", t_lo=2.0)
-    auto_bad = lg.build_tga(ex1d.complex, ex1d.controls, bad, ex1d.signs)
+    auto_bad = lg.build_tga(ex1d.sys, ex1d.complex, ex1d.controls, bad,
+                            ex1d.signs)
     kappa = {c: "g0" for c in cells}
     rep_bad = cf.check_sound(ex1d.sys, auto_bad, kappa,
                              [ex1d.right, ex1d.left], samples=50,

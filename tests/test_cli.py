@@ -142,12 +142,3 @@ class TestExport:
         assert dot.startswith("digraph")
         assert "style=dashed" in dot and "style=solid" in dot
 
-
-class TestJobsFlag:
-    def test_jobs_accepted(self, tmp_path):
-        assert run("--jobs", "4", "validate", SPEC_1D,
-                   "--out", str(tmp_path)) == 0
-
-    def test_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LYAGATE_JOBS", "2")
-        assert run("validate", SPEC_1D, "--out", str(tmp_path)) == 0

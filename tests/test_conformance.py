@@ -134,7 +134,8 @@ class TestCheckSound:
     def test_corrupted_bound_detected(self, ex1d):
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         bad = ex1d.bounds.with_override(1, 2, "g0", t_lo=2.0)
-        auto = lg.build_tga(ex1d.complex, ex1d.controls, bad, ex1d.signs)
+        auto = lg.build_tga(ex1d.sys, ex1d.complex, ex1d.controls, bad,
+                            ex1d.signs)
         rep = cf.check_sound(ex1d.sys, auto, kappa, [ex1d.right, ex1d.left],
                              samples=30, horizon=10.0, step=2e-3, seed=3,
                              controls=ex1d.controls)
@@ -198,10 +199,8 @@ def test_random_systems_sound(seed, dim):
     slices = {1: lg.build_slices(fam, sysr.domain, grid=64)}
     signs, _ = lg.admissibility_map(sysr, [g], [fam], grid=64)
     cx = lg.build_cells([fam], sysr.domain, grid=64)
-    lg.attach_system(cx, sysr)
-    lg.attach_controls(cx, [g])
     tbl = lg.compute_bounds(sysr, [g], [fam], slices, grid=64)
-    auto = lg.build_tga(cx, [g], tbl, signs)
+    auto = lg.build_tga(sysr, cx, [g], tbl, signs)
     kappa = {c: "hold" for c in cx.cell_ids()}
     rep = cf.check_sound(sysr, auto, kappa, cx.cell_ids(), samples=50,
                          horizon=6.0, step=2e-3, seed=seed, controls=[g])

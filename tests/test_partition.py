@@ -5,7 +5,7 @@ import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
-from lyagate.errors import CoverageError, OutOfDomainError
+from lyagate.errors import CoverageError, LyagateError, OutOfDomainError
 
 
 class TestBuildSlices:
@@ -87,6 +87,29 @@ class TestLocate:
     def test_out_of_domain(self, ex1d):
         with pytest.raises(OutOfDomainError):
             ex1d.complex.locate((3.5,))
+
+    def test_rep_points_locate_home_nav2d(self, nav2d):
+        # the second components share their band tuple with the first ones,
+        # so grid distances decide between them
+        cells = nav2d.complex.cells
+        assert {"c3.3-1", "c4.3-1", "c5.3-1", "c5.4-1"} <= {c.id for c in cells}
+        for c in cells:
+            res = nav2d.complex.locate(c.rep_point)
+            assert res.primary == c.id
+            assert not res.boundary_families
+
+    def test_facet_point_returns_both_sides_nav2d(self, nav2d):
+        for adj in nav2d.complex.adjacency:
+            res = nav2d.complex.locate(adj.facet_points[0])
+            assert {adj.a, adj.b} <= set(res.cells)
+            assert adj.family in res.boundary_families
+
+
+class TestSampling:
+    def test_exhausted_tries_raise_package_error(self, ex1d):
+        rng = np.random.default_rng(0)
+        with pytest.raises(LyagateError):
+            ex1d.complex.uniform_point_in(ex1d.mid, rng, max_tries=0)
 
 
 class TestLevelTouch:

@@ -75,8 +75,8 @@ class TestBuild:
                 assert fams == [t.family]
 
     def test_extended_mode_locations(self, ex1d):
-        auto = lg.build_tga(ex1d.complex, ex1d.controls, ex1d.bounds,
-                            ex1d.signs, mode="extended-cells")
+        auto = lg.build_tga(ex1d.sys, ex1d.complex, ex1d.controls,
+                            ex1d.bounds, ex1d.signs, mode="extended-cells")
         names = {l.cell for l in auto.non_sink_locations()}
         assert names == {"e1", "e2"}
         assert len(auto.non_sink_locations()) == 4
@@ -218,6 +218,21 @@ class TestRunFeasible:
         bad = ta.run_feasible(ex1d.tga, seq, final_dwell=10.0)
         assert not bad.feasible
 
+    def test_long_switching_run(self, ex1d):
+        """3000 alternating switches in the outer cell, deeper than the
+        default recursion limit. Dwelling t_lo/t_hi as long under g2x as
+        under g0 keeps every flipped clock pair nonnegative."""
+        tb = ex1d.bounds.timing(1, 2, "g0")
+        dwell = {"g0": 1e-4, "g2x": 1e-4 * tb.t_lo / tb.t_hi}
+        seq, t = [], 0.0
+        for i in range(3000):
+            control = ("g0", "g2x")[i % 2]
+            seq.append((loc(ex1d, "right", control), t))
+            t += dwell[control]
+        rep = ta.run_feasible(ex1d.tga, seq)
+        assert rep.feasible
+        assert rep.steps == 3000
+
 
 class TestExports:
     def test_dot_styles(self, ex1d):
@@ -236,8 +251,8 @@ class TestExports:
         """Extended automaton has {extended cells} x K_U locations and its
         reachable cell projection contains the cell-mode automaton's."""
         import lyagate.game as gm
-        auto_ex = lg.build_tga(ex1d.complex, ex1d.controls, ex1d.bounds,
-                               ex1d.signs, mode="extended-cells")
+        auto_ex = lg.build_tga(ex1d.sys, ex1d.complex, ex1d.controls,
+                               ex1d.bounds, ex1d.signs, mode="extended-cells")
         ys = {tuple(c.y) for c in ex1d.complex.cells}
         assert len(auto_ex.non_sink_locations()) == len(ys) * len(ex1d.controls)
 
