@@ -27,6 +27,7 @@ __all__ = [
     "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Expression", "parse_expression", "eval_expression", "differentiate",
     "substitute", "variables", "to_text", "compile_scalar", "compile_vector",
+    "compile_step",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
@@ -577,3 +578,38 @@ def compile_field(exprs) -> Callable:
     parts = ", ".join(_emit(e, _SCALAR_FUNCS, "x[%d]", "u[%d]") for e in exprs)
     src = "lambda x, u=(): (%s,)" % parts
     return eval(src, {"math": math, "_sign": _py_sign, "abs": abs})
+
+
+@lru_cache(maxsize=None)
+def compile_step(exprs) -> Callable:
+    """Compile an x-only field to one classic RK4 step ``step(x, h) -> tuple``.
+
+    The four stages are unrolled over local floats and perform the same
+    operations in the same order as the textbook step over
+    ``compile_field(exprs)`` (stage points ``xi + 0.5 * h * ki`` and
+    ``xi + h * ki``, result ``xi + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``),
+    so both give bit-identical states. Float errors inside the field
+    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate.
+    """
+    idx = range(len(exprs))
+
+    def stage(k, at):
+        return ["    %s%d = %s" % (k, i, _emit(e, _SCALAR_FUNCS, at + "%d", "u%d"))
+                for i, e in enumerate(exprs)]
+
+    def point(coef, k):
+        return ["    y%d = x%d + %sh * %s%d" % (i, i, coef, k, i) for i in idx]
+
+    lines = ["def step(x, h):",
+             "    %s, = x" % ", ".join("x%d" % i for i in idx)]
+    lines += stage("a", "x") + point("0.5 * ", "a")
+    lines += stage("b", "y") + point("0.5 * ", "b")
+    lines += stage("c", "y") + point("", "c")
+    lines += stage("d", "y")
+    lines += ["    s = h / 6.0",
+              "    return (%s,)" % ", ".join(
+                  "x%d + s * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 5)
+                  for i in idx)]
+    namespace = {"math": math, "_sign": _py_sign, "abs": abs}
+    exec("\n".join(lines), namespace)
+    return namespace["step"]

@@ -103,10 +103,6 @@ class ControlSystem:
         mapping = {"u%d" % (j + 1): comp for j, comp in enumerate(g.components)}
         return tuple(ex.substitute(comp, mapping) for comp in self.f)
 
-    def field_function(self, g: "ControlLaw"):
-        """Compiled closed-loop field: state tuple -> derivative tuple."""
-        return ex.compile_field(self.closed_loop(g))
-
 
 @dataclass(frozen=True)
 class ControlLaw:

@@ -1,27 +1,34 @@
 """Closed-loop integration, level-crossing detection, and hybrid traces.
 
-Fixed-step classic Runge-Kutta drives the continuous state; each step is
-checked against the current cell's bands, and a crossing is localized by
-bisection on phi(x(t)) - a within the step (the dense state comes from
-re-taking the RK4 step with a shorter length, so event states are exactly
-reproducible). Leaving the box, or crossing a level with no cell on the
-other side, ends the trace with a sink event. More than 10 events inside a
-10-step window aborts with a chattering error, the stand-in for sliding
-behaviour this toolkit does not model.
+Fixed-step classic Runge-Kutta drives the continuous state. Each control's
+closed-loop field is compiled once into a fused step (``expr.compile_step``)
+that unrolls the four stages over local floats; its states are bit-identical
+to the textbook RK4 step over ``expr.compile_field``. Within one stay in a
+(cell, control) location an event-free loop takes steps while every phi
+stays in the cell's band and the state in the box. The first step that
+leaves goes to the event code: a crossing is localized by bisection on
+phi(x(t)) - a within the step (the dense state comes from re-taking the
+step with a shorter length, so event states are exactly reproducible).
+Leaving the box, or crossing a level with no cell on the other side, ends
+the trace with a sink event. More than 10 events inside a 10-step window
+aborts with a chattering error, the stand-in for sliding behaviour this
+toolkit does not model.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
 
 from . import expr as ex
 from .errors import (
-    ChatteringError, NonFiniteStateError, OutOfDomainError, StrategyError,
+    ChatteringError, EvalDomainError, NonFiniteStateError, OutOfDomainError,
+    StrategyError,
 )
 from .partition import CellComplex
 
@@ -102,24 +109,31 @@ class HybridTrace:
                            + [self.cells[i], traj.controls[i]])
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
-    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
-    k2 = f(x2)
-    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
-    k3 = f(x3)
-    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
-    k4 = f(x4)
-    s = h / 6.0
-    return tuple(xi + s * (a + 2.0 * b + 2.0 * c + d)
-                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+def _advance(step, x, h, t):
+    """One RK4 step of length h from state x at time t.
+
+    Python floats raise where IEEE arithmetic would give inf or nan; those
+    errors become the package's own so that the CLI reports them as bad
+    input rather than as an internal error.
+    """
+    try:
+        return step(x, h)
+    except OverflowError as err:
+        raise NonFiniteStateError(
+            "state overflows in the step to t=%g" % (t + h)) from err
+    except ZeroDivisionError as err:
+        raise EvalDomainError("division by zero", x, ()) from err
+    except ValueError as err:
+        if str(err) != "math domain error":
+            raise
+        raise EvalDomainError("math domain error", x, ()) from err
 
 
 def integrate(sys, g, x0, horizon, h):
     """Fixed-step RK4 under one control; stops at the horizon or domain exit."""
     if h <= 0:
         raise ValueError("step must be positive")
-    f = sys.field_function(g)
+    step_fn = ex.compile_step(sys.closed_loop(g))
     x = tuple(float(v) for v in x0)
     if not sys.domain.contains(x, tol=1e-12):
         raise NonFiniteStateError("x0 %s outside the domain" % (x,))
@@ -129,8 +143,8 @@ def integrate(sys, g, x0, horizon, h):
     exited = False
     while t < horizon - 1e-15:
         step = min(h, horizon - t)
-        xn = _rk4_step(f, x, step)
-        if not all(math.isfinite(v) for v in xn):
+        xn = _advance(step_fn, x, step, t)
+        if not all(isfinite(v) for v in xn):
             raise NonFiniteStateError("non-finite state at t=%g" % (t + step))
         t += step
         x = xn
@@ -181,17 +195,18 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     crossed family, level, and both cells.
     """
     chooser = _as_chooser(strategy)
-    controls = {g.name: g for g in controls}
-    fields = {name: sys.field_function(g) for name, g in controls.items()}
+    steppers = {g.name: ex.compile_step(sys.closed_loop(g)) for g in controls}
     families = complex.families
-    phi_fns = {fam.index: ex.compile_scalar(fam.phi) for fam in families}
-    fam_pos = {fam.index: i for i, fam in enumerate(families)}
+    phi_fns = [ex.compile_scalar(fam.phi) for fam in families]
+    # a step leaves the box when a component is more than 1e-12 outside it
+    box_checks = [(itemgetter(d), lo - 1e-12, hi + 1e-12) for d, (lo, hi)
+                  in enumerate(zip(sys.domain.lower, sys.domain.upper))]
 
     x = tuple(float(v) for v in x0)
     res = complex.locate(x)
     cell = res.primary
     ctrl = chooser(cell, 0, rng)
-    if ctrl not in controls:
+    if ctrl not in steppers:
         raise StrategyError("unknown control '%s'" % ctrl)
 
     times = [0.0]
@@ -201,23 +216,47 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     events = []
     recent = []
 
-    def band_of(cell_id, fam):
-        y = complex.cell(cell_id).y
-        return fam.band(y[fam_pos[fam.index]])
-
     t = 0.0
-    while t < horizon - 1e-15:
-        f = fields[ctrl]
-        step = min(h, horizon - t)
-        xn = _rk4_step(f, x, step)
-        if not all(math.isfinite(v) for v in xn):
-            raise NonFiniteStateError("non-finite state at t=%g" % (t + step))
+    t_stop = horizon - 1e-15
+    while t < t_stop:
+        # One stay in (cell, ctrl). The inner loop takes steps while every
+        # phi stays in its band and x in the box; the first step that leaves
+        # goes to the event code below, which re-takes it to find the event.
+        step_fn = steppers[ctrl]
+        y = complex.cell(cell).y
+        checks = [(phi, *fam.band(y[i]))
+                  for i, (phi, fam) in enumerate(zip(phi_fns, families))]
+        checks += box_checks
+        stay_start = len(times)
+        while t < t_stop:
+            step = horizon - t
+            if step > h:
+                step = h
+            xn = _advance(step_fn, x, step, t)
+            for v in xn:
+                if not isfinite(v):
+                    raise NonFiniteStateError(
+                        "non-finite state at t=%g" % (t + step))
+            for value_of, lo, hi in checks:
+                if not lo <= value_of(xn) <= hi:
+                    break
+            else:
+                t += step
+                x = xn
+                times.append(t)
+                states.append(x)
+                continue
+            break
+        stayed = len(times) - stay_start
+        ctrl_names += [ctrl] * stayed
+        cells += [cell] * stayed
+        if not t < t_stop:
+            break
 
         # earliest boundary event inside this step, if any
         best = None   # (tau, kind, family, level, direction)
-        for fam in families:
-            lo, hi = band_of(cell, fam)
-            v = phi_fns[fam.index](xn)
+        for fam, (phi, lo, hi) in zip(families, checks):
+            v = phi(xn)
             crossed = None
             if v > hi:
                 crossed, direction = hi, +1
@@ -226,8 +265,8 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             if crossed is None:
                 continue
             tau = _bisect_event(
-                lambda s: phi_fns[fam.index](_rk4_step(f, x, s)) - crossed,
-                step, phi_fns[fam.index](x) - crossed)
+                lambda s: phi(_advance(step_fn, x, s, t)) - crossed,
+                step, phi(x) - crossed)
             if best is None or tau < best[0]:
                 best = (tau, "level", fam.index, crossed, direction)
         for d in range(sys.n):
@@ -241,11 +280,13 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             if crossed is None:
                 continue
             tau = _bisect_event(
-                lambda s: _rk4_step(f, x, s)[d] - crossed, step, x[d] - crossed)
+                lambda s: _advance(step_fn, x, s, t)[d] - crossed,
+                step, x[d] - crossed)
             if best is None or tau < best[0]:
                 best = (tau, "domain", None, crossed, 0)
 
         if best is None:
+            # only a nan phi stops the inner loop without a crossing
             t += step
             x = xn
             times.append(t)
@@ -256,7 +297,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
 
         tau, kind, fam_idx, level, direction = best
         tau = max(tau, 1e-15)
-        x_event = _rk4_step(f, x, tau)
+        x_event = _advance(step_fn, x, tau, t)
         t_event = t + tau
 
         recent.append(t_event)
@@ -277,7 +318,6 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             return _finish(times, states, ctrl_names, cells, events, h,
                            strategy, exited=True)
 
-        fam = families[fam_pos[fam_idx]]
         partners = complex.neighbors_toward(cell, fam_idx, direction)
         if not partners:
             events.append(Event(time=t_event, family=fam_idx, level=level,
@@ -290,12 +330,13 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             return _finish(times, states, ctrl_names, cells, events, h,
                            strategy, exited=True)
 
-        # disambiguate the component by probing just past the surface
-        probe = _rk4_step(f, x, min(tau * (1.0 + _EVENT_NUDGE) + 1e-15, step))
         new_cell = None
         if len(partners) == 1:
             new_cell = partners[0].other(cell)
         else:
+            # disambiguate the component by probing just past the surface
+            probe = _advance(step_fn, x,
+                             min(tau * (1.0 + _EVENT_NUDGE) + 1e-15, step), t)
             try:
                 loc = complex.locate(tuple(probe))
             except OutOfDomainError:
@@ -318,7 +359,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                             state=x_event, kind="level"))
         cell = new_cell
         ctrl = chooser(cell, len(events), rng)
-        if ctrl not in controls:
+        if ctrl not in steppers:
             raise StrategyError("unknown control '%s'" % ctrl)
         t = t_event
         x = x_event

@@ -161,7 +161,9 @@ class TimedGameAutomaton:
             if loc.is_sink:
                 lines.append("  %s [shape=box, style=filled, fillcolor=gray80];" % q(name))
                 continue
-            cell = self.complex.cell(loc.cell) if self.complex else None
+            # extended-cell locations name a zone id, not a cell of the complex
+            cell = (self.complex.cell(loc.cell)
+                    if self.complex and self.mode == "cells" else None)
             label = "%s\\n%s" % (cell.label if cell else loc.cell, loc.control)
             for fam, b in self.invariant_of(name):
                 label += "\\nc1^%d <= %.4g" % (fam, b)

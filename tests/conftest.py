@@ -84,3 +84,22 @@ def ex1d():
 @pytest.fixture(scope="session")
 def nav2d():
     return PhasePlane()
+
+
+def _textbook_rk4(f, x, h):
+    """Classic RK4 over a compiled field, the reference for the fused step."""
+    k1 = f(x)
+    x2 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k1))
+    k2 = f(x2)
+    x3 = tuple(xi + 0.5 * h * ki for xi, ki in zip(x, k2))
+    k3 = f(x3)
+    x4 = tuple(xi + h * ki for xi, ki in zip(x, k3))
+    k4 = f(x4)
+    s = h / 6.0
+    return tuple(xi + s * (a + 2.0 * b + 2.0 * c + d)
+                 for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+
+
+@pytest.fixture(scope="session")
+def textbook_rk4():
+    return _textbook_rk4

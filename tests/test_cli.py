@@ -11,6 +11,7 @@ from lyagate.cli import main
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 SPEC_1D = os.path.join(SPEC_DIR, "example1d.json")
 SPEC_G15 = os.path.join(SPEC_DIR, "example1d_with_g15.json")
+SPEC_NAV = os.path.join(SPEC_DIR, "phase_plane.json")
 
 
 def run(*argv):
@@ -95,6 +96,20 @@ class TestSimulate:
         csv = (tmp_path / "trace_000.csv").read_text().splitlines()
         assert csv[0] == "t,x1,cell,control"
 
+    def test_overflowing_field_exits_1(self, tmp_path, capsys):
+        """A valid spec whose field overflows a Python float mid-step is bad
+        input (exit 1), not an internal error (exit 3)."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["dynamics"] = ["-x1^9 + u1"]
+        spec["controls"] = {"g0": ["0"]}
+        path = tmp_path / "steep.json"
+        path.write_text(json.dumps(spec))
+        assert run("validate", str(path), "--out", str(tmp_path)) == 0
+        assert run("simulate", str(path), "--strategy", "const:g0",
+                   "--x0", "2.5", "--horizon", "5", "--step", "1",
+                   "--out", str(tmp_path)) == 1
+        assert "overflows" in capsys.readouterr().err
+
     def test_sampled_starts(self, tmp_path):
         strat = tmp_path / "strategy.json"
         run("synthesize", SPEC_1D, "--reach", "[-1,1]", "--out", str(tmp_path))
@@ -142,3 +157,9 @@ class TestExport:
         assert dot.startswith("digraph")
         assert "style=dashed" in dot and "style=solid" in dot
 
+    @pytest.mark.parametrize("spec", [SPEC_1D, SPEC_NAV])
+    @pytest.mark.parametrize("mode", ["cells", "extended"])
+    def test_dot_both_modes(self, tmp_path, spec, mode):
+        assert run("export", spec, "--mode", mode,
+                   "--out", str(tmp_path)) == 0
+        assert (tmp_path / "automaton.dot").stat().st_size > 0

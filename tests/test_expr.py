@@ -175,3 +175,59 @@ def test_derivative_fd_random_corpus():
         assert d == pytest.approx(fd, rel=1e-5, abs=1e-5)
         checked += 1
     assert checked == 100
+
+
+# -- fused RK4 step ---------------------------------------------------------
+
+_FUNCS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
+
+
+def _field_exprs(n):
+    """n-component x-only fields that use every node type."""
+    leaf = st.one_of(
+        st.sampled_from([ex.Var("x%d" % (i + 1)) for i in range(n)]),
+        st.floats(min_value=0.0, max_value=3.0, allow_nan=False).map(ex.Const),
+    )
+
+    def branch(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: ex.Add(*ab)),
+            pair.map(lambda ab: ex.Sub(*ab)),
+            pair.map(lambda ab: ex.Mul(*ab)),
+            pair.map(lambda ab: ex.Div(*ab)),
+            children.map(ex.Neg),
+            st.tuples(children, st.integers(0, 5)).map(lambda bk: ex.Pow(*bk)),
+            st.tuples(st.sampled_from(_FUNCS), children).map(
+                lambda fc: ex.Call(*fc)),
+        )
+
+    comp = st.recursive(leaf, branch, max_leaves=10)
+    return st.tuples(*[comp] * n)
+
+
+@st.composite
+def _step_case(draw):
+    n = draw(st.integers(1, 3))
+    exprs = draw(_field_exprs(n))
+    x = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    h = draw(st.floats(1e-6, 0.5))
+    return exprs, x, h
+
+
+def _outcome(fn, *args):
+    """Bit patterns of the result (nan as one token), or the raised error."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+    return tuple("nan" if math.isnan(v) else float(v).hex() for v in out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_step_case())
+def test_compile_step_bit_identical_to_textbook_rk4(textbook_rk4, case):
+    exprs, x, h = case
+    fused = _outcome(ex.compile_step(exprs), x, h)
+    reference = _outcome(textbook_rk4, ex.compile_field(exprs), x, h)
+    assert fused == reference

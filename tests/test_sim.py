@@ -7,7 +7,9 @@ import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
-from lyagate.errors import ChatteringError, StrategyError
+from lyagate.errors import (
+    ChatteringError, EvalDomainError, NonFiniteStateError, StrategyError,
+)
 
 
 class TestIntegrate:
@@ -122,6 +124,63 @@ class TestClosedLoop:
         with pytest.raises(StrategyError):
             lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (0.5,),
                                     1.0, 1e-3, controls=ex1d.controls)
+
+
+class TestFusedStep:
+    def test_samples_are_textbook_rk4_steps(self, nav2d, textbook_rk4):
+        """Every sample not at an event is one textbook RK4 step from the
+        sample before it, bit for bit, under the control of that stay."""
+        import lyagate.game as gm
+        res = gm.synthesize_reach(nav2d.tga, nav2d.goal)
+        horizon, h = 6.0, 2e-3
+        x0 = nav2d.complex.uniform_point_in(
+            nav2d.initial[0], np.random.default_rng(3))
+        tr = lg.simulate_closed_loop(nav2d.sys, res.strategy, nav2d.complex,
+                                     x0, horizon, h, controls=nav2d.controls)
+        assert tr.events
+        fields = {g.name: ex.compile_field(nav2d.sys.closed_loop(g))
+                  for g in nav2d.controls}
+        event_times = {e.time for e in tr.events}
+        times, states = tr.trajectory.times, tr.trajectory.states
+        checked = 0
+        for i in range(1, len(times)):
+            if times[i] in event_times:
+                continue
+            t = float(times[i - 1])
+            step = min(h, horizon - t)
+            prev = tuple(float(v) for v in states[i - 1])
+            ref = textbook_rk4(fields[tr.trajectory.controls[i]], prev, step)
+            assert tuple(float(v) for v in states[i]) == ref
+            assert float(times[i]) == t + step
+            checked += 1
+        assert checked > 1000
+
+    def test_non_finite_state_in_event_free_loop(self, ex1d):
+        # the first step stays finite only up to its second stage
+        sysinf = lg.ControlSystem(
+            n=1, m=1, domain=ex1d.box,
+            f=(ex.parse_expression("x1*x1*1e200 + u1", 1, 1),))
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        with pytest.raises(NonFiniteStateError,
+                           match="non-finite state at t=0.001"):
+            lg.simulate_closed_loop(sysinf, kappa, ex1d.complex, (2.0,),
+                                    1.0, 1e-3, controls=ex1d.controls)
+
+    @pytest.mark.parametrize("dynamics,x0,error", [
+        ("-x1^9 + u1", 2.5, NonFiniteStateError),    # OverflowError
+        ("1/(x1 - 2) + u1", 2.0, EvalDomainError),   # ZeroDivisionError
+        ("sqrt(x1) + u1", -1.0, EvalDomainError),    # math domain error
+    ])
+    def test_float_errors_become_lyagate_errors(self, ex1d, dynamics, x0,
+                                                error):
+        sysx = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
+                                f=(ex.parse_expression(dynamics, 1, 1),))
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        with pytest.raises(error):
+            lg.simulate_closed_loop(sysx, kappa, ex1d.complex, (x0,),
+                                    5.0, 1.0, controls=ex1d.controls)
+        with pytest.raises(error):
+            lg.integrate(sysx, ex1d.g0, (x0,), 5.0, 1.0)
 
 
 class TestTraceArtifacts:

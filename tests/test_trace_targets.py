@@ -25,3 +25,25 @@ def test_target_resolves(module, attr, name):
         owner = getattr(owner, part)
     # the tracer swaps the owner's own attribute, so it must not be inherited
     assert callable(vars(owner)[leaf])
+
+
+def test_check_sound_simulates_through_module_attribute(ex1d, monkeypatch):
+    """The tracer counts `sim.*` work by wrapping `lyagate.sim.simulate_closed_loop`;
+    `check_sound` must reach it through that attribute, or `sim.steps` reads 0."""
+    import lyagate.conformance as cf
+    import lyagate.sim as sm
+
+    calls = []
+    real = sm.simulate_closed_loop
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "simulate_closed_loop", counting)
+    strategy = {c: "g0" for c in ex1d.complex.cell_ids()}
+    report = cf.check_sound(ex1d.sys, ex1d.tga, strategy, [ex1d.right],
+                            samples=1, horizon=1.0, step=1e-3,
+                            controls=ex1d.controls)
+    assert report.traces == 1
+    assert calls == [1]
