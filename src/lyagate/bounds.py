@@ -98,18 +98,17 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, refine_iters=3,
     sample_pts = pts[mask]
     vals = np.abs(phid_v(sample_pts))
 
-    lo_b = np.asarray(sys.domain.lower)
-    hi_b = np.asarray(sys.domain.upper)
-    spacing = (hi_b - lo_b) / (grid - 1)
+    lo_b = sys.domain.lower
+    hi_b = sys.domain.upper
+    spacing = [(b - a) / (grid - 1) for a, b in zip(lo_b, hi_b)]
 
-    def feasible(x):
-        if not sys.domain.contains(x, tol=0.0):
-            return False
-        v = phi_s(tuple(x))
-        return slc.lo <= v <= slc.hi
+    # Refinement runs on lists of floats. A candidate y differs from the
+    # current point, which lies in the box, only in coordinate d.
+    def feasible(y, d):
+        return lo_b[d] <= y[d] <= hi_b[d] and slc.lo <= phi_s(y) <= slc.hi
 
     def refine(x0, maximize):
-        x = np.array(x0, dtype=float)
+        x = [float(v) for v in x0]
         for _ in range(refine_iters):
             for d in range(sys.n):
                 a = max(lo_b[d], x[d] - spacing[d])
@@ -118,17 +117,17 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, refine_iters=3,
                 def along(t, d=d):
                     y = x.copy()
                     y[d] = t
-                    if not feasible(y):
+                    if not feasible(y, d):
                         return math.inf
-                    v = abs(phid_s(tuple(y)))
+                    v = abs(phid_s(y))
                     return -v if maximize else v
 
                 t_best, _ = _golden_min(along, a, b)
                 y = x.copy()
                 y[d] = t_best
-                if feasible(y):
+                if feasible(y, d):
                     x = y
-        return x
+        return np.array(x)
 
     x_min = refine(sample_pts[int(np.argmin(vals))], maximize=False)
     x_max = refine(sample_pts[int(np.argmax(vals))], maximize=True)

@@ -247,12 +247,17 @@ def parse_expression(text, n_states, n_inputs):
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
+def _is_negative_const(e):
+    return isinstance(e, Const) and math.copysign(1.0, e.value) < 0.0
+
+
 def _prec(e):
     if isinstance(e, (Add, Sub)):
         return _PREC_ADD
     if isinstance(e, (Mul, Div)):
         return _PREC_MUL
-    if isinstance(e, Neg):
+    # a negative constant prints with a leading minus, so it binds like Neg
+    if isinstance(e, Neg) or _is_negative_const(e):
         return _PREC_NEG
     if isinstance(e, Pow):
         return _PREC_POW
@@ -260,6 +265,8 @@ def _prec(e):
 
 
 def _format_const(v):
+    if math.copysign(1.0, v) < 0.0:
+        return "-" + _format_const(-v)
     if float(v).is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(float(v))
@@ -532,7 +539,8 @@ _VECTOR_FUNCS = {
 
 def _emit(e, funcs, xfmt, ufmt):
     if isinstance(e, Const):
-        return repr(e.value)
+        # parenthesised so that ``**`` cannot bind tighter than the minus
+        return "(%r)" % e.value if _is_negative_const(e) else repr(e.value)
     if isinstance(e, Var):
         which, idx = var_kind_index(e.name)
         return (xfmt if which == "x" else ufmt) % (idx - 1)

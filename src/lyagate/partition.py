@@ -12,15 +12,19 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
 from . import expr as ex
+# sample_level_set is looked up on the module at call time, so that a wrapper
+# installed on `model.sample_level_set` sees the calls made from here
+from . import model as md
 from .errors import (
     CoverageError, EmptySliceError, OutOfDomainError, ResolutionError,
 )
-from .model import Box, PartitioningFamily
+from .model import EPS_REG, Box, PartitioningFamily
 
 DEFAULT_GRID = 64
 MAX_FACET_POINTS = 32
@@ -122,15 +126,22 @@ class CellComplex:
         self._axes = axes
         self._cell_index_flat = cell_index_flat
         self._by_id = {c.id: c for c in self.cells}
-        self._cells_by_y = {}
-        for c in self.cells:
-            self._cells_by_y.setdefault(c.y, []).append(c)
+        # point-location tables: per family (index, phi, levels, band count),
+        # and per band tuple its cells with their grid points stored as one
+        # contiguous column per axis
+        self._family_lookup = tuple(
+            (f.index, ex.compile_scalar(f.phi), f.levels, f.band_count)
+            for f in self.families)
         self._points = box.grid(grid)
         order = np.argsort(cell_index_flat, kind="stable")
         sizes = np.bincount(cell_index_flat, minlength=len(self.cells))
-        self._grid_points = dict(zip(
-            (c.id for c in self.cells),
-            np.split(self._points[order], np.cumsum(sizes)[:-1])))
+        cuts = np.cumsum(sizes)[:-1]
+        columns = zip(*(np.split(self._points[order, i], cuts)
+                        for i in range(box.dim)))
+        self._cells_by_y = {}
+        for c, cols in zip(self.cells, columns):
+            self._cells_by_y.setdefault(c.y, []).append((c.id, cols))
+        self._gradient_cache = {}
         self._touch_cache = {}
         self._adj_by_cell = {}
         for adj in self.adjacency:
@@ -157,9 +168,6 @@ class CellComplex:
                 out.append(adj)
         return out
 
-    def cell_grid_points(self, cell_id):
-        return self._grid_points[cell_id]
-
     def level_crossing_points(self, family_index, level):
         """Points on the level surface inside X where the gradient does not vanish.
 
@@ -169,16 +177,10 @@ class CellComplex:
         """
         key = (family_index, float(level))
         if key not in self._touch_cache:
-            from .model import EPS_REG, sample_level_set
             fam = next(f for f in self.families if f.index == family_index)
-            pts = sample_level_set(fam, level, self.box, grid=min(self.grid, 64))
-            grad_fns = [ex.compile_scalar(e) for e in fam.gradient(self.box.dim)]
-            grad_vs = [ex.compile_vector(e) for e in fam.gradient(self.box.dim)]
-            # points polishing toward a critical point end up with a vanishing
-            # gradient; filter them relative to the family's gradient scale
-            scale = float(np.sqrt(sum(gv(self._points) ** 2
-                                      for gv in grad_vs)).max())
-            thresh = max(EPS_REG, 1e-4 * scale)
+            pts = md.sample_level_set(fam, level, self.box,
+                                      grid=min(self.grid, 64))
+            grad_fns, thresh = self._gradient_of(fam)
             out = []
             for p in pts:
                 gn = math.sqrt(sum(fn(p) ** 2 for fn in grad_fns))
@@ -191,6 +193,21 @@ class CellComplex:
                 out.append((p, set(loc.cells) | {loc.primary}, gn))
             self._touch_cache[key] = out
         return self._touch_cache[key]
+
+    def _gradient_of(self, fam):
+        """Compiled gradient of phi and its vanishing threshold, once per family.
+
+        Points polishing toward a critical point end up with a vanishing
+        gradient; they are filtered relative to the family's gradient scale
+        over the grid.
+        """
+        if fam.index not in self._gradient_cache:
+            grad = fam.gradient(self.box.dim)
+            scale = float(np.sqrt(sum(ex.compile_vector(e)(self._points) ** 2
+                                      for e in grad)).max())
+            self._gradient_cache[fam.index] = (
+                [ex.compile_scalar(e) for e in grad], max(EPS_REG, 1e-4 * scale))
+        return self._gradient_cache[fam.index]
 
     def cell_touches_level(self, cell_id, family_index, level):
         """True when the cell's boundary contains a crossable piece of the level."""
@@ -248,21 +265,24 @@ class LocateResult:
 
 
 def _bisect_crossing(p, q, phi_fn, level, iters=60):
-    """Point on the segment [p, q] where phi crosses the level."""
-    fp = phi_fn(tuple(p)) - level
+    """Point on the segment [p, q] where phi crosses the level.
+
+    p and q are sequences of floats; each probe is ``p_i + t * (q_i - p_i)``
+    per coordinate, and the result is a tuple of floats.
+    """
+    dq = [b - a for a, b in zip(p, q)]
+    stat_lo = phi_fn(p) - level
     lo, hi = 0.0, 1.0
-    stat_lo = fp
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        x = p + mid * (q - p)
-        fm = phi_fn(tuple(x)) - level
+        fm = phi_fn([a + mid * d for a, d in zip(p, dq)]) - level
         if (fm > 0) == (stat_lo > 0):
             lo = mid
             stat_lo = fm
         else:
             hi = mid
     t = 0.5 * (lo + hi)
-    return p + t * (q - p)
+    return tuple(a + t * d for a, d in zip(p, dq))
 
 
 def _build_raw(families, box, grid):
@@ -372,7 +392,7 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
     axes = box.axes(grid)
 
     def point_of(coord):
-        return np.array([axes[i][coord[i]] for i in range(n)])
+        return [float(axes[i][coord[i]]) for i in range(n)]
 
     adjacency = []
     for (ia, ib), edges in sorted(raw_edges.items()):
@@ -388,8 +408,8 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
         facet_pts = []
         for si in sel:
             _, _, ca, cb = edges[si]
-            xpt = _bisect_crossing(point_of(ca), point_of(cb), phi_fns[fam_pos], level)
-            facet_pts.append(tuple(float(v) for v in xpt))
+            facet_pts.append(_bisect_crossing(point_of(ca), point_of(cb),
+                                              phi_fns[fam_pos], level))
         a_id = _cell_id(*ordered[ia][:2])
         b_id = _cell_id(*ordered[ib][:2])
         adjacency.append(Adjacency(
@@ -426,46 +446,85 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
                        axes, cell_index.ravel())
 
 
+def _grid_distance(columns, x):
+    """Euclidean distance from x to the nearest of a cell's grid points.
+
+    The squares are summed over the axes from left to right, which is the
+    order ``np.linalg.norm(points - x, axis=1)`` adds them in below eight
+    axes; sqrt is monotone and correctly rounded, so taking it after the
+    minimum gives the same bits as the minimum of the norms.
+    """
+    acc = None
+    for col, xi in zip(columns, x):
+        d = col - xi
+        d *= d
+        if acc is None:
+            acc = d
+        else:
+            acc += d
+    return math.sqrt(float(acc.min()))
+
+
 def locate(x, complex: CellComplex, eps_face=EPS_FACE):
-    """Cell(s) containing x; points within eps_face of a level get both sides."""
+    """Cell(s) containing x; points within eps_face of a level get both sides.
+
+    Per family, the band comes from bisection of phi(x) on the levels (a
+    value on a level goes to the band below it); when phi(x) lies within
+    ``eps_face * max(1, |a|)`` of a level a, the band on the other side of
+    a is a second option and the family is listed in
+    ``boundary_families``. Within each band tuple of options that has
+    cells, the candidate is the component whose grid points lie nearest to
+    x in Euclidean distance. ``cells`` holds the candidates' ids, sorted;
+    ``primary`` is the nearest candidate, ties going to the smaller id.
+    Distances are computed only when more than one cell can hold x.
+
+    Raises OutOfDomainError when x lies outside the box, when some phi(x)
+    is not finite, or when no cell has a matching band tuple.
+    """
     if not complex.box.contains(x, tol=1e-12):
         raise OutOfDomainError("point %s outside the domain box" % (tuple(x),))
 
+    xt = tuple(x)
     band_options = []
     boundary_families = []
-    for fam in complex.families:
-        v = ex.compile_scalar(fam.phi)(tuple(x))
-        h = int(np.clip(np.searchsorted(fam.levels, v, side="left"),
-                        1, fam.band_count))
+    for index, phi, levels, band_count in complex._family_lookup:
+        v = phi(xt)
+        if not math.isfinite(v):
+            raise OutOfDomainError("phi of family %d is %r at %s"
+                                   % (index, v, xt))
+        h = min(max(bisect_left(levels, v), 1), band_count)
         options = {h}
-        for j, a in enumerate(fam.levels):
+        for j, a in enumerate(levels):
             if abs(v - a) <= eps_face * max(1.0, abs(a)):
-                if 1 <= j <= fam.band_count:
+                if 1 <= j <= band_count:
                     options.add(j)        # band below the level
-                if 1 <= j + 1 <= fam.band_count:
+                if 1 <= j + 1 <= band_count:
                     options.add(j + 1)    # band above the level
                 if len(options) > 1:
-                    boundary_families.append(fam.index)
+                    boundary_families.append(index)
                 break
         band_options.append(sorted(options))
 
-    xa = np.asarray(x, dtype=float)
+    groups = [m for m in map(complex._cells_by_y.get,
+                             itertools.product(*band_options)) if m]
+    if not groups:
+        raise OutOfDomainError("no cell found for point %s" % (xt,))
+    boundary_families = tuple(sorted(set(boundary_families)))
+    if len(groups) == 1 and len(groups[0]) == 1:
+        cid = groups[0][0][0]
+        return LocateResult(primary=cid, cells=(cid,),
+                            boundary_families=boundary_families)
+
+    xf = [float(v) for v in xt]
     candidates = []
-    for combo in itertools.product(*band_options):
-        matching = complex._cells_by_y.get(combo)
-        if not matching:
-            continue
+    for matching in groups:
         best = None
-        for c in matching:
-            cpts = complex.cell_grid_points(c.id)
-            dist = float(np.min(np.linalg.norm(cpts - xa, axis=1)))
+        for cid, columns in matching:
+            dist = _grid_distance(columns, xf)
             if best is None or dist < best[0]:
-                best = (dist, c.id)
+                best = (dist, cid)
         candidates.append(best)
-    if not candidates:
-        raise OutOfDomainError("no cell found for point %s" % (tuple(x),))
     candidates.sort()
-    primary = candidates[0][1]
-    return LocateResult(primary=primary,
+    return LocateResult(primary=candidates[0][1],
                         cells=tuple(sorted(cid for _, cid in candidates)),
-                        boundary_families=tuple(sorted(set(boundary_families))))
+                        boundary_families=boundary_families)

@@ -1,9 +1,13 @@
 """Shared fixtures: the 1-D toy system and the phase-plane navigation scenario."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
+from lyagate.errors import OutOfDomainError
 
 
 class Example1D:
@@ -103,3 +107,77 @@ def _textbook_rk4(f, x, h):
 @pytest.fixture(scope="session")
 def textbook_rk4():
     return _textbook_rk4
+
+
+def _reference_locate(x, complex, eps_face=1e-9):
+    """Point location as first written, the reference for `partition.locate`:
+    np.searchsorted bands and, per band tuple, the cell whose grid points
+    (a boolean mask over the whole grid) have the smallest np.linalg.norm."""
+    if not complex.box.contains(x, tol=1e-12):
+        raise OutOfDomainError("point %s outside the domain box" % (tuple(x),))
+    band_options = []
+    boundary_families = []
+    for fam in complex.families:
+        v = ex.compile_scalar(fam.phi)(tuple(x))
+        h = int(np.clip(np.searchsorted(fam.levels, v, side="left"),
+                        1, fam.band_count))
+        options = {h}
+        for j, a in enumerate(fam.levels):
+            if abs(v - a) <= eps_face * max(1.0, abs(a)):
+                if 1 <= j <= fam.band_count:
+                    options.add(j)
+                if 1 <= j + 1 <= fam.band_count:
+                    options.add(j + 1)
+                if len(options) > 1:
+                    boundary_families.append(fam.index)
+                break
+        band_options.append(sorted(options))
+
+    xa = np.asarray(x, dtype=float)
+    candidates = []
+    for combo in itertools.product(*band_options):
+        best = None
+        for i, c in enumerate(complex.cells):
+            if c.y != combo:
+                continue
+            cpts = complex._points[complex._cell_index_flat == i]
+            dist = float(np.min(np.linalg.norm(cpts - xa, axis=1)))
+            if best is None or dist < best[0]:
+                best = (dist, c.id)
+        if best is not None:
+            candidates.append(best)
+    if not candidates:
+        raise OutOfDomainError("no cell found for point %s" % (tuple(x),))
+    candidates.sort()
+    return (candidates[0][1], tuple(sorted(cid for _, cid in candidates)),
+            tuple(sorted(set(boundary_families))))
+
+
+def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
+    """Level crossing on [p, q] over numpy 2-vectors, the reference for
+    `partition._bisect_crossing`."""
+    p = np.array(p, dtype=float)
+    q = np.array(q, dtype=float)
+    stat_lo = phi_fn(tuple(p)) - level
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        x = p + mid * (q - p)
+        fm = phi_fn(tuple(x)) - level
+        if (fm > 0) == (stat_lo > 0):
+            lo = mid
+            stat_lo = fm
+        else:
+            hi = mid
+    t = 0.5 * (lo + hi)
+    return tuple(float(v) for v in p + t * (q - p))
+
+
+@pytest.fixture(scope="session")
+def reference_locate():
+    return _reference_locate
+
+
+@pytest.fixture(scope="session")
+def reference_bisect_crossing():
+    return _reference_bisect_crossing

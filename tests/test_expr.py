@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lyagate import expr as ex
 from lyagate.errors import EvalDomainError, ExprSyntaxError, UnknownVariableError
@@ -89,6 +89,36 @@ class TestEval:
         assert f(x, u) == ex.eval_expression(e, x, u)
 
 
+class TestNegativeConstant:
+    """Trees with a negative constant, which substitute() and API callers can
+    build although the parser never does."""
+
+    @pytest.mark.parametrize("e", [
+        ex.Pow(ex.Const(-2.0), 2),
+        ex.Pow(ex.Const(-2.0), 3),
+        ex.Pow(ex.Const(-0.0), 1),
+        ex.Mul(ex.Var("x1"), ex.Pow(ex.Const(-0.5), 4)),
+        ex.Neg(ex.Pow(ex.Const(-3.0), 2)),
+        ex.Sub(ex.Var("x1"), ex.Const(-1.5)),
+        ex.Pow(ex.Pow(ex.Const(-1.25), 2), 3),
+    ])
+    def test_compiled_forms_printing_and_tree_agree(self, e):
+        import numpy as np
+        x = (1.75,)
+        value = ex.eval_expression(e, x)
+        assert ex.compile_scalar(e)(x) == value
+        assert ex.compile_field((e,))(x) == (value,)
+        assert ex.compile_vector(e)(np.array([x]))[0] == value
+        back = ex.parse_expression(ex.to_text(e), 1, 0)
+        assert ex.eval_expression(back, x).hex() == value.hex()
+        assert ex.to_text(back) == ex.to_text(e)
+
+    def test_power_of_negative_constant_is_positive(self):
+        e = ex.Pow(ex.Const(-2.0), 2)
+        assert ex.compile_scalar(e)(()) == 4.0
+        assert ex.to_text(e) == "(-2)^2"
+
+
 class TestDifferentiate:
     def test_power_rule(self):
         assert ex.differentiate(p("x1^2"), "x1") == p("2*x1")
@@ -131,6 +161,12 @@ def _branch(children):
 
 exprs = st.recursive(_leaf, _branch, max_leaves=12)
 
+_signed_leaf = st.one_of(
+    st.sampled_from([ex.Var("x1"), ex.Var("x2"), ex.Var("u1")]),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(ex.Const),
+)
+signed_exprs = st.recursive(_signed_leaf, _branch, max_leaves=12)
+
 
 @settings(max_examples=100, deadline=None)
 @given(exprs, st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
@@ -141,6 +177,27 @@ def test_print_parse_round_trip(e, x1, x2, u1):
     v1 = ex.eval_expression(e, (x1, x2), (u1,))
     v2 = ex.eval_expression(back, (x1, x2), (u1,))
     assert v1 == v2 or (math.isnan(v1) and math.isnan(v2))
+
+
+def _bits(v):
+    return "nan" if math.isnan(v) else float(v).hex()
+
+
+@settings(max_examples=200, deadline=None)
+@example(ex.Pow(ex.Const(-2.0), 2), 0.0, 0.0, 0.0)
+@given(signed_exprs, st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2))
+def test_negative_constants_compile_and_print_faithfully(e, x1, x2, u1):
+    x, u = (x1, x2), (u1,)
+    try:
+        compiled = ex.compile_scalar(e)(x, u)
+    except OverflowError:
+        return      # the tree walk returns inf where the compiled ** raises
+    value = ex.eval_expression(e, x, u)
+    assert _bits(compiled) == _bits(value)
+    # the parser reads a negative constant back as Neg(Const): same value
+    back = ex.parse_expression(ex.to_text(e), 2, 1)
+    assert _bits(ex.eval_expression(back, x, u)) == _bits(value)
+    assert ex.to_text(back) == ex.to_text(e)
 
 
 @settings(max_examples=100, deadline=None)
@@ -186,7 +243,7 @@ def _field_exprs(n):
     """n-component x-only fields that use every node type."""
     leaf = st.one_of(
         st.sampled_from([ex.Var("x%d" % (i + 1)) for i in range(n)]),
-        st.floats(min_value=0.0, max_value=3.0, allow_nan=False).map(ex.Const),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(ex.Const),
     )
 
     def branch(children):

@@ -5,6 +5,8 @@ import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
+from lyagate import model as md
+from lyagate import partition as pt
 from lyagate.errors import CoverageError, LyagateError, OutOfDomainError
 
 
@@ -103,6 +105,85 @@ class TestLocate:
             res = nav2d.complex.locate(adj.facet_points[0])
             assert {adj.a, adj.b} <= set(res.cells)
             assert adj.family in res.boundary_families
+
+
+    def test_non_finite_phi_raises(self):
+        # phi is x1^2 below x1 = 2.9 and NaN (inf * 0) from there on
+        phi = ex.parse_expression(
+            "x1^2 + (sign(x1 - 2.9) + 1)*1e308*1e308*0", 1, 0)
+        fam = lg.PartitioningFamily(index=1, phi=phi, levels=(0.0, 1.0, 9.0))
+        box = lg.Box((-3.0,), (3.0,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cx = lg.build_cells([fam], box, grid=64)
+        assert cx.cell(cx.locate((2.0,)).primary).y == (2,)
+        with pytest.raises(OutOfDomainError):
+            cx.locate((2.95,))
+
+
+def _probe_points(complex):
+    """5000 seeded random points, every rep and facet point, and polished
+    points on every level, plus points just inside and outside the box."""
+    rng = np.random.default_rng(7)
+    pts = [tuple(x) for x in complex.box.sample(rng, 5000)]
+    pts += [c.rep_point for c in complex.cells]
+    pts += [p for adj in complex.adjacency for p in adj.facet_points]
+    for fam in complex.families:
+        for level in fam.levels:
+            pts += md.sample_level_set(fam, level, complex.box,
+                                       grid=min(complex.grid, 64))
+    lo, hi = np.array(complex.box.lower), np.array(complex.box.upper)
+    pts += [tuple(lo), tuple(hi), tuple(lo - 1e-13), tuple(hi + 1e-11)]
+    return pts
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OutOfDomainError as err:
+        return type(err)
+
+
+class TestLocateReference:
+    """locate() and the facet bisection give exactly what the reference
+    implementations in conftest.py give."""
+
+    @pytest.mark.parametrize("eps_face", [1e-9, 1e-7])
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    def test_locate_matches_reference(self, request, scenario, eps_face,
+                                      reference_locate):
+        cx = request.getfixturevalue(scenario).complex
+
+        def fast(x):
+            res = cx.locate(x, eps_face=eps_face)
+            return res.primary, res.cells, res.boundary_families
+
+        shared = 0
+        for x in _probe_points(cx):
+            got = _outcome(fast, x)
+            assert got == _outcome(reference_locate, x, cx, eps_face)
+            shared += isinstance(got, tuple) and len(got[1]) > 1
+        assert shared > 0      # the distance comparison ran
+
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    def test_facet_points_match_reference_bisection(
+            self, request, scenario, monkeypatch, reference_bisect_crossing):
+        sc = request.getfixturevalue(scenario)
+        calls = []
+        real = pt._bisect_crossing
+
+        def recording(p, q, phi_fn, level, iters=60):
+            out = real(p, q, phi_fn, level, iters)
+            calls.append((p, q, phi_fn, level, out))
+            return out
+
+        monkeypatch.setattr(pt, "_bisect_crossing", recording)
+        cx = lg.build_cells(sc.families, sc.box, grid=sc.complex.grid,
+                            stability_check=False)
+        assert [c[-1] for c in calls] == [
+            p for adj in cx.adjacency for p in adj.facet_points]
+        for p, q, phi_fn, level, out in calls:
+            ref = reference_bisect_crossing(p, q, phi_fn, level)
+            assert [v.hex() for v in out] == [v.hex() for v in ref]
 
 
 class TestSampling:

@@ -47,3 +47,37 @@ def test_check_sound_simulates_through_module_attribute(ex1d, monkeypatch):
                             controls=ex1d.controls)
     assert report.traces == 1
     assert calls == [1]
+
+
+def test_point_location_goes_through_module_attributes(ex1d, monkeypatch):
+    """The tracer counts `partition.locate_calls` and
+    `model.sample_level_set_calls` by wrapping `lyagate.partition.locate` and
+    `lyagate.model.sample_level_set`; every point-location path must reach
+    them through those attributes, or the counts read 0."""
+    import numpy as np
+
+    import lyagate.model as md
+    import lyagate.partition as pt
+
+    calls = {"locate": 0, "sample": 0}
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pt, "locate", counting("locate", pt.locate))
+    monkeypatch.setattr(md, "sample_level_set",
+                        counting("sample", md.sample_level_set))
+    cx = pt.build_cells(ex1d.families, ex1d.box, grid=64)   # empty caches
+    cx.locate((0.5,))
+    assert calls["locate"] == 1
+    cx.cell_at((2.0,))
+    assert calls["locate"] == 2
+    cx.uniform_point_in(ex1d.mid, np.random.default_rng(0))
+    assert calls["locate"] >= 3
+    before = calls["locate"]
+    crossings = cx.level_crossing_points(1, 1.0)
+    assert calls["sample"] == 1
+    assert calls["locate"] - before >= len(crossings) > 0
