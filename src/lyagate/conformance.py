@@ -51,6 +51,7 @@ def _stays(trace: sm.HybridTrace, complex, family):
     fam = next(f for f in complex.families if f.index == family)
     fam_pos = [f.index for f in complex.families].index(family)
     times = trace.trajectory.times
+    pieces = trace.segments()
     stays = []
     i0 = 0
     t0 = float(times[0])
@@ -66,7 +67,7 @@ def _stays(trace: sm.HybridTrace, complex, family):
             i1 = int(np.searchsorted(times, t1, side="right"))
             cell = trace.cells[i0]
             band = complex.cell(cell).y[fam_pos]
-            seg = [s for s in trace.segments()
+            seg = [s for s in pieces
                    if s[2] > t0 + 1e-15 and s[1] < t1 - 1e-15]
             segments = [(c, max(a, t0), min(b, t1)) for c, a, b in seg]
             exit_level = e.level if (crosses or (sinks and e.family == family)) \

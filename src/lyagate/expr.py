@@ -27,7 +27,7 @@ __all__ = [
     "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Expression", "parse_expression", "eval_expression", "differentiate",
     "substitute", "variables", "to_text", "compile_scalar", "compile_vector",
-    "compile_step",
+    "compile_step", "compile_stay",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
@@ -588,6 +588,37 @@ def compile_field(exprs) -> Callable:
     return eval(src, {"math": math, "_sign": _py_sign, "abs": abs})
 
 
+def _rk4_body(exprs, pad):
+    """Source lines of one classic RK4 step of length ``h`` from the local
+    floats ``x0, x1, ...`` to ``n0, n1, ...``, in the textbook operation
+    order that ``compile_step`` documents."""
+    idx = range(len(exprs))
+
+    def stage(k, at):
+        return ["%s%s%d = %s" % (pad, k, i,
+                                 _emit(e, _SCALAR_FUNCS, at + "%d", "u%d"))
+                for i, e in enumerate(exprs)]
+
+    def point(coef, k):
+        return ["%sy%d = x%d + %sh * %s%d" % (pad, i, i, coef, k, i)
+                for i in idx]
+
+    lines = stage("a", "x") + point("0.5 * ", "a")
+    lines += stage("b", "y") + point("0.5 * ", "b")
+    lines += stage("c", "y") + point("", "c")
+    lines += stage("d", "y")
+    lines.append("%ss = h / 6.0" % pad)
+    lines += ["%sn%d = x%d + s * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)"
+              % ((pad,) + (i,) * 6) for i in idx]
+    return lines
+
+
+def _exec_def(lines, name):
+    namespace = {"math": math, "_sign": _py_sign, "abs": abs}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
 @lru_cache(maxsize=None)
 def compile_step(exprs) -> Callable:
     """Compile an x-only field to one classic RK4 step ``step(x, h) -> tuple``.
@@ -599,25 +630,67 @@ def compile_step(exprs) -> Callable:
     so both give bit-identical states. Float errors inside the field
     (ZeroDivisionError, OverflowError, math-domain ValueError) propagate.
     """
-    idx = range(len(exprs))
+    xs = ", ".join("x%d" % i for i in range(len(exprs)))
+    ns = ", ".join("n%d" % i for i in range(len(exprs)))
+    lines = ["def step(x, h):", "    %s, = x" % xs]
+    lines += _rk4_body(exprs, "    ")
+    lines.append("    return (%s,)" % ns)
+    return _exec_def(lines, "step")
 
-    def stage(k, at):
-        return ["    %s%d = %s" % (k, i, _emit(e, _SCALAR_FUNCS, at + "%d", "u%d"))
-                for i, e in enumerate(exprs)]
 
-    def point(coef, k):
-        return ["    y%d = x%d + %sh * %s%d" % (i, i, coef, k, i) for i in idx]
+@lru_cache(maxsize=None)
+def compile_stay(field_exprs, phi_exprs) -> Callable:
+    """Compile one whole stay in a (cell, control) location.
 
-    lines = ["def step(x, h):",
-             "    %s, = x" % ", ".join("x%d" % i for i in idx)]
-    lines += stage("a", "x") + point("0.5 * ", "a")
-    lines += stage("b", "y") + point("0.5 * ", "b")
-    lines += stage("c", "y") + point("", "c")
-    lines += stage("d", "y")
-    lines += ["    s = h / 6.0",
-              "    return (%s,)" % ", ".join(
-                  "x%d + s * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)" % ((i,) * 5)
-                  for i in idx)]
-    namespace = {"math": math, "_sign": _py_sign, "abs": abs}
-    exec("\n".join(lines), namespace)
-    return namespace["step"]
+    Returns ``stay(x, t, t_stop, horizon, hmax, box, bands, times, coords)``.
+    From state ``x`` at time ``t`` it takes RK4 steps of length
+    ``min(hmax, horizon - t)`` over the x-only field ``field_exprs`` while
+    ``t < t_stop``. ``box`` holds one ``(lo, hi)`` pair per coordinate and
+    ``bands`` one per phi. A step is accepted when every coordinate of the
+    new state lies in its box pair and then every ``phi_exprs[j]`` at the
+    new state lies in ``bands[j]``; an accepted step appends its time to
+    ``times`` and its coordinates, one by one, to ``coords``. It returns
+    ``(t, x, xn, h)``: the time and state of the last accepted step, the
+    state the first rejected step reached (None when ``t_stop`` was reached)
+    and the length of the last step taken.
+
+    Bit-identity contract: every step is the step of ``compile_step``
+    (the same generated statements), and each phi is evaluated inline with
+    the operations of ``compile_scalar``, so the appended times and
+    coordinates, and the returned values, are bit for bit those of a loop
+    that calls ``compile_step`` and the compiled phis and checks the box and
+    bands. No finiteness check is made: a nan or infinite coordinate fails
+    its finite box check, so the step that produced it is rejected and
+    returned as ``xn``. Float errors inside the field or a phi
+    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate,
+    after every step before the failing one was appended.
+    """
+    idx = range(len(field_exprs))
+    xs = ", ".join("x%d" % i for i in idx)
+    leave = "            return t, (%s,), (%s,), h" % (
+        xs, ", ".join("n%d" % i for i in idx))
+    lines = ["def stay(x, t, t_stop, horizon, hmax, box, bands, times, coords):",
+             "    %s, = x" % xs,
+             "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx)]
+    if phi_exprs:
+        lines.append("    %s, = bands" % ", ".join(
+            "(fl%d, fh%d)" % (j, j) for j in range(len(phi_exprs))))
+    lines += ["    append_t = times.append",
+              "    append_c = coords.append",
+              "    h = hmax",
+              "    while t < t_stop:",
+              "        h = horizon - t",
+              "        if h > hmax:",
+              "            h = hmax"]
+    lines += _rk4_body(field_exprs, "        ")
+    lines += ["        if not (%s):" % " and ".join(
+        "bl%d <= n%d <= bh%d" % (i, i, i) for i in idx), leave]
+    for j, e in enumerate(phi_exprs):
+        lines += ["        if not fl%d <= %s <= fh%d:"
+                  % (j, _emit(e, _SCALAR_FUNCS, "n%d", "u%d"), j), leave]
+    lines.append("        t += h")
+    lines += ["        x%d = n%d" % (i, i) for i in idx]
+    lines.append("        append_t(t)")
+    lines += ["        append_c(x%d)" % i for i in idx]
+    lines.append("    return t, (%s,), None, h" % xs)
+    return _exec_def(lines, "stay")

@@ -269,12 +269,27 @@ def _bisect_crossing(p, q, phi_fn, level, iters=60):
 
     p and q are sequences of floats; each probe is ``p_i + t * (q_i - p_i)``
     per coordinate, and the result is a tuple of floats.
+
+    The loop halves at most ``iters`` times and stops early once the
+    midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so the result
+    is the one the full count gives. ``stat_lo`` only takes the value of a
+    probe on the same side as ``phi(p) - level``, and ``hi`` only moves to a
+    probe on the other side. If ``mid == lo`` with ``lo > 0``, the probe
+    repeats the one that set ``lo`` and ``stat_lo``, so it lands on the same
+    side and changes nothing (``lo == 0`` cannot recur, as ``hi`` stays at or
+    above 2**-iters). If ``mid == hi < 1``, the probe repeats the one that
+    set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then
+    ``lo == 1 - 2**-53`` and the probe may set ``lo`` to 1.0, but both before
+    and after, ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later
+    midpoints, and the returned ``t = 0.5 * (lo + hi)``, stay the same.
     """
     dq = [b - a for a, b in zip(p, q)]
     stat_lo = phi_fn(p) - level
     lo, hi = 0.0, 1.0
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         fm = phi_fn([a + mid * d for a, d in zip(p, dq)]) - level
         if (fm > 0) == (stat_lo > 0):
             lo = mid

@@ -3,16 +3,19 @@
 Fixed-step classic Runge-Kutta drives the continuous state. Each control's
 closed-loop field is compiled once into a fused step (``expr.compile_step``)
 that unrolls the four stages over local floats; its states are bit-identical
-to the textbook RK4 step over ``expr.compile_field``. Within one stay in a
-(cell, control) location an event-free loop takes steps while every phi
-stays in the cell's band and the state in the box. The first step that
-leaves goes to the event code: a crossing is localized by bisection on
-phi(x(t)) - a within the step (the dense state comes from re-taking the
-step with a shorter length, so event states are exactly reproducible).
-Leaving the box, or crossing a level with no cell on the other side, ends
-the trace with a sink event. More than 10 events inside a 10-step window
-aborts with a chattering error, the stand-in for sliding behaviour this
-toolkit does not model.
+to the textbook RK4 step over ``expr.compile_field``. One stay in a
+(cell, control) location runs in a generated kernel (``expr.compile_stay``)
+that takes those same steps, with the box and band checks and every phi
+inline, while the state stays in the box and every phi in the cell's band.
+It appends each sample's time to one list and its coordinates to one flat
+list, from which the trajectory's arrays are built once at the end. The
+first step that leaves goes to the event code: a non-finite state is an
+error, and a crossing is localized by bisection on phi(x(t)) - a within the
+step (the dense state comes from re-taking the step with a shorter length,
+so event states are exactly reproducible). Leaving the box, or crossing a
+level with no cell on the other side, ends the trace with a sink event.
+More than 10 events inside a 10-step window aborts with a chattering error,
+the stand-in for sliding behaviour this toolkit does not model.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from math import isfinite
-from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -198,9 +200,13 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     steppers = {g.name: ex.compile_step(sys.closed_loop(g)) for g in controls}
     families = complex.families
     phi_fns = [ex.compile_scalar(fam.phi) for fam in families]
+    phis = tuple(fam.phi for fam in families)
+    stays = {g.name: ex.compile_stay(sys.closed_loop(g), phis)
+             for g in controls}
+    n = sys.n
     # a step leaves the box when a component is more than 1e-12 outside it
-    box_checks = [(itemgetter(d), lo - 1e-12, hi + 1e-12) for d, (lo, hi)
-                  in enumerate(zip(sys.domain.lower, sys.domain.upper))]
+    box = tuple((lo - 1e-12, hi + 1e-12)
+                for lo, hi in zip(sys.domain.lower, sys.domain.upper))
 
     x = tuple(float(v) for v in x0)
     res = complex.locate(x)
@@ -210,7 +216,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         raise StrategyError("unknown control '%s'" % ctrl)
 
     times = [0.0]
-    states = [x]
+    coords = list(x)          # the states, flat: n floats per sample
     ctrl_names = [ctrl]
     cells = [cell]
     events = []
@@ -219,43 +225,37 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     t = 0.0
     t_stop = horizon - 1e-15
     while t < t_stop:
-        # One stay in (cell, ctrl). The inner loop takes steps while every
-        # phi stays in its band and x in the box; the first step that leaves
-        # goes to the event code below, which re-takes it to find the event.
+        # One stay in (cell, ctrl). The generated kernel takes steps while
+        # x stays in the box and every phi in its band; the first step that
+        # leaves goes to the event code below, which re-takes it to find
+        # the event.
         step_fn = steppers[ctrl]
         y = complex.cell(cell).y
-        checks = [(phi, *fam.band(y[i]))
-                  for i, (phi, fam) in enumerate(zip(phi_fns, families))]
-        checks += box_checks
+        bands = [fam.band(y[i]) for i, fam in enumerate(families)]
         stay_start = len(times)
-        while t < t_stop:
-            step = horizon - t
-            if step > h:
-                step = h
-            xn = _advance(step_fn, x, step, t)
-            for v in xn:
-                if not isfinite(v):
-                    raise NonFiniteStateError(
-                        "non-finite state at t=%g" % (t + step))
-            for value_of, lo, hi in checks:
-                if not lo <= value_of(xn) <= hi:
-                    break
-            else:
-                t += step
-                x = xn
-                times.append(t)
-                states.append(x)
-                continue
-            break
+        try:
+            t, x, xn, step = stays[ctrl](x, t, t_stop, horizon, h, box,
+                                         bands, times, coords)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            # every step before the failing one is stored; re-taking that
+            # one turns an error of the field into the package's own, and
+            # an error of a phi propagates as it is
+            t = times[-1]
+            _advance(step_fn, tuple(coords[-n:]), min(h, horizon - t), t)
+            raise
         stayed = len(times) - stay_start
         ctrl_names += [ctrl] * stayed
         cells += [cell] * stayed
-        if not t < t_stop:
+        if xn is None:
             break
+        for v in xn:
+            if not isfinite(v):
+                raise NonFiniteStateError(
+                    "non-finite state at t=%g" % (t + step))
 
         # earliest boundary event inside this step, if any
         best = None   # (tau, kind, family, level, direction)
-        for fam, (phi, lo, hi) in zip(families, checks):
+        for fam, phi, (lo, hi) in zip(families, phi_fns, bands):
             v = phi(xn)
             crossed = None
             if v > hi:
@@ -290,7 +290,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             t += step
             x = xn
             times.append(t)
-            states.append(x)
+            coords += x
             ctrl_names.append(ctrl)
             cells.append(cell)
             continue
@@ -312,10 +312,10 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                                 old_cell=cell, new_cell="sink",
                                 state=x_event, kind="domain"))
             times.append(t_event)
-            states.append(x_event)
+            coords += x_event
             ctrl_names.append(ctrl)
             cells.append(cell)
-            return _finish(times, states, ctrl_names, cells, events, h,
+            return _finish(times, coords, n, ctrl_names, cells, events, h,
                            strategy, exited=True)
 
         partners = complex.neighbors_toward(cell, fam_idx, direction)
@@ -324,10 +324,10 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                                 old_cell=cell, new_cell="sink",
                                 state=x_event, kind="level"))
             times.append(t_event)
-            states.append(x_event)
+            coords += x_event
             ctrl_names.append(ctrl)
             cells.append(cell)
-            return _finish(times, states, ctrl_names, cells, events, h,
+            return _finish(times, coords, n, ctrl_names, cells, events, h,
                            strategy, exited=True)
 
         new_cell = None
@@ -364,17 +364,18 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         t = t_event
         x = x_event
         times.append(t)
-        states.append(x)
+        coords += x
         ctrl_names.append(ctrl)
         cells.append(cell)
 
-    return _finish(times, states, ctrl_names, cells, events, h, strategy,
+    return _finish(times, coords, n, ctrl_names, cells, events, h, strategy,
                    exited=False)
 
 
-def _finish(times, states, ctrls, cells, events, h, strategy, exited):
+def _finish(times, coords, n, ctrls, cells, events, h, strategy, exited):
     name = strategy if isinstance(strategy, str) else getattr(strategy, "name", "")
-    traj = Trajectory(times=np.array(times), states=np.array(states),
+    traj = Trajectory(times=np.fromiter(times, float),
+                      states=np.fromiter(coords, float).reshape(-1, n),
                       controls=ctrls, step=h, exited=exited)
     return HybridTrace(trajectory=traj, events=events, cells=cells,
                        strategy_name=str(name))

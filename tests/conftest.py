@@ -1,13 +1,15 @@
 """Shared fixtures: the 1-D toy system and the phase-plane navigation scenario."""
 
 import itertools
+from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
-from lyagate.errors import OutOfDomainError
+from lyagate.errors import NonFiniteStateError, OutOfDomainError
 
 
 class Example1D:
@@ -107,6 +109,42 @@ def _textbook_rk4(f, x, h):
 @pytest.fixture(scope="session")
 def textbook_rk4():
     return _textbook_rk4
+
+
+def _reference_stay(field_exprs, phi_exprs, x, t, t_stop, horizon, hmax,
+                    box, bands, times, coords):
+    """The event-free loop of `sim.simulate_closed_loop` as it was before
+    `expr.compile_stay` generated it, the reference for that kernel: textbook
+    RK4 steps over `compile_field`, a finiteness check on every coordinate,
+    the `compile_scalar` phis against their bands, then `itemgetter` box
+    checks. Takes the kernel's arguments and returns what it returns."""
+    field = ex.compile_field(field_exprs)
+    checks = [(ex.compile_scalar(e), *band)
+              for e, band in zip(phi_exprs, bands)]
+    checks += [(itemgetter(d), *box[d]) for d in range(len(x))]
+    step = hmax
+    while t < t_stop:
+        step = horizon - t
+        if step > hmax:
+            step = hmax
+        xn = _textbook_rk4(field, x, step)
+        for v in xn:
+            if not isfinite(v):
+                raise NonFiniteStateError(
+                    "non-finite state at t=%g" % (t + step))
+        for value_of, lo, hi in checks:
+            if not lo <= value_of(xn) <= hi:
+                return t, x, xn, step
+        t += step
+        x = xn
+        times.append(t)
+        coords.extend(x)
+    return t, x, None, step
+
+
+@pytest.fixture(scope="session")
+def reference_stay():
+    return _reference_stay
 
 
 def _reference_locate(x, complex, eps_face=1e-9):

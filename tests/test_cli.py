@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 SPEC_1D = os.path.join(SPEC_DIR, "example1d.json")
 SPEC_G15 = os.path.join(SPEC_DIR, "example1d_with_g15.json")
 SPEC_NAV = os.path.join(SPEC_DIR, "phase_plane.json")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run(*argv):
@@ -163,3 +166,17 @@ class TestExport:
         assert run("export", spec, "--mode", mode,
                    "--out", str(tmp_path)) == 0
         assert (tmp_path / "automaton.dot").stat().st_size > 0
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(SRC_DIR), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyagate", "validate", SPEC_1D,
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "validation ok" in proc.stdout
+        assert (tmp_path / "validation.json").exists()

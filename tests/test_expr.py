@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lyagate import expr as ex
-from lyagate.errors import EvalDomainError, ExprSyntaxError, UnknownVariableError
+from lyagate.errors import (
+    EvalDomainError, ExprSyntaxError, NonFiniteStateError, UnknownVariableError,
+)
 
 
 def p(text, n=3, m=2):
@@ -239,8 +241,8 @@ def test_derivative_fd_random_corpus():
 _FUNCS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
 
 
-def _field_exprs(n):
-    """n-component x-only fields that use every node type."""
+def _x_expr(n):
+    """x-only expressions over x1..xn that use every node type."""
     leaf = st.one_of(
         st.sampled_from([ex.Var("x%d" % (i + 1)) for i in range(n)]),
         st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(ex.Const),
@@ -259,8 +261,12 @@ def _field_exprs(n):
                 lambda fc: ex.Call(*fc)),
         )
 
-    comp = st.recursive(leaf, branch, max_leaves=10)
-    return st.tuples(*[comp] * n)
+    return st.recursive(leaf, branch, max_leaves=10)
+
+
+def _field_exprs(n):
+    """n-component x-only fields that use every node type."""
+    return st.tuples(*[_x_expr(n)] * n)
 
 
 @st.composite
@@ -288,3 +294,72 @@ def test_compile_step_bit_identical_to_textbook_rk4(textbook_rk4, case):
     fused = _outcome(ex.compile_step(exprs), x, h)
     reference = _outcome(textbook_rk4, ex.compile_field(exprs), x, h)
     assert fused == reference
+
+
+# -- stay kernel ------------------------------------------------------------
+
+@st.composite
+def _stay_case(draw):
+    """A random field, phis with bands around their start values, a box
+    around the start state, a step and a horizon."""
+    n = draw(st.integers(1, 3))
+    fields = draw(_field_exprs(n))
+    phis = tuple(draw(st.lists(_x_expr(n), min_size=1, max_size=2)))
+    x = tuple(draw(st.floats(-2.0, 2.0)) for _ in range(n))
+    margin = st.floats(0.0, 3.0)
+    box = tuple((xi - draw(margin), xi + draw(margin)) for xi in x)
+    bands = ()
+    for e in phis:
+        try:
+            v0 = ex.compile_scalar(e)(x)
+        except (ArithmeticError, ValueError):
+            v0 = 0.0
+        if not math.isfinite(v0):
+            v0 = 0.0
+        bands += ((v0 - draw(margin), v0 + draw(margin)),)
+    hmax = draw(st.floats(1e-3, 0.5))
+    horizon = draw(st.floats(0.01, 3.0))
+    t = draw(st.floats(0.0, 0.9)) * horizon
+    return fields, phis, (x, t, horizon - 1e-15, horizon, hmax, box, bands)
+
+
+def _stay_outcome(stay, phis, args):
+    """Bits of the returned (t, x, xn, h) and of the appended times and
+    coordinates, or the raised error. A returned xn then goes through what
+    `simulate_closed_loop` does with the step that left: the finiteness
+    check and every phi at xn."""
+    times, coords = [], []
+    try:
+        t, x, xn, h = stay(*args, times, coords)
+        if xn is not None:
+            if not all(math.isfinite(v) for v in xn):
+                raise NonFiniteStateError(
+                    "non-finite state at t=%g" % (t + h))
+            for e in phis:
+                ex.compile_scalar(e)(xn)
+        result = [_bits(v) for v in (t, *x, h)] + (
+            ["horizon"] if xn is None else [_bits(v) for v in xn])
+    except (ArithmeticError, ValueError, NonFiniteStateError) as err:
+        result = (type(err), str(err))
+    return result, [_bits(v) for v in times], [_bits(v) for v in coords]
+
+
+def _stay_example(field, phi, x0, hmax, horizon, band=(-100.0, 100.0)):
+    fields = (ex.parse_expression(field, 1, 0),)
+    phis = (ex.parse_expression(phi, 1, 0),)
+    box = ((x0 - 3.0, x0 + 3.0),)
+    return fields, phis, ((x0,), 0.0, horizon - 1e-15, horizon, hmax, box,
+                          (band,))
+
+
+@settings(max_examples=300, deadline=None)
+@example(_stay_example("x1*x1*1e200", "sin(x1)", 2.0, 1e-3, 1.0))  # inf
+@example(_stay_example("-x1^9", "x1", 2.5, 1.0, 5.0))  # overflow
+@example(_stay_example("-x1", "x1^2", 2.0, 0.01, 2.0, (1.0, 9.0)))  # leaves
+@given(_stay_case())
+def test_compile_stay_bit_identical_to_reference_loop(reference_stay, case):
+    fields, phis, args = case
+    kernel = _stay_outcome(ex.compile_stay(fields, phis), phis, args)
+    reference = _stay_outcome(
+        lambda *a: reference_stay(fields, phis, *a), phis, args)
+    assert kernel == reference

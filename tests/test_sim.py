@@ -183,6 +183,59 @@ class TestFusedStep:
             lg.integrate(sysx, ex1d.g0, (x0,), 5.0, 1.0)
 
 
+class TestTrajectoryShape:
+    """States are stored flat while simulating; the trajectory must still
+    hold one float64 row of n coordinates per sample, however it ends."""
+
+    @staticmethod
+    def check(tr, x0, n, ending):
+        traj = tr.trajectory
+        assert traj.times.dtype == np.float64
+        assert traj.times.shape == (len(traj),)
+        assert traj.states.dtype == np.float64
+        assert traj.states.shape == (len(traj), n)
+        assert len(traj.controls) == len(tr.cells) == len(traj)
+        assert traj.state_at(0) == tuple(x0)
+        last = tr.events[-1] if tr.events else None
+        if ending is None:
+            assert not traj.exited
+        else:
+            assert traj.exited
+            assert (last.kind, last.new_cell) == (ending, "sink")
+            assert traj.times[-1] == last.time
+            assert traj.state_at(-1) == last.state
+
+    @pytest.mark.parametrize("ctrl,x0,ending", [
+        ("g0", 2.0, None),          # horizon end after one level event
+        ("g2x", 0.5, "level"),      # level 9 has no cell beyond it
+    ])
+    def test_one_dimensional(self, ex1d, ctrl, x0, ending):
+        kappa = {c: ctrl for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
+                                     10.0, 1e-3, controls=ex1d.controls)
+        self.check(tr, (x0,), 1, ending)
+
+    def test_one_dimensional_domain_exit(self, ex1d):
+        # level 16 lies outside the box, so x1 = 3 is left as a domain exit
+        fam = lg.PartitioningFamily(index=1, phi=ex1d.fam.phi,
+                                    levels=(0.0, 1.0, 16.0))
+        complex = lg.build_cells([fam], ex1d.box, grid=64)
+        kappa = {c: "g2x" for c in complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (0.5,),
+                                     10.0, 1e-3, controls=ex1d.controls)
+        self.check(tr, (0.5,), 1, "domain")
+
+    @pytest.mark.parametrize("x0,ending", [
+        ((0.5, 0.5), None),         # horizon end after one level event
+        ((2.9, 2.0), "domain"),     # x1 leaves through the box edge
+    ])
+    def test_two_dimensional(self, nav2d, x0, ending):
+        kappa = {c: "brake" for c in nav2d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(nav2d.sys, kappa, nav2d.complex, x0,
+                                     3.0, 1e-3, controls=nav2d.controls)
+        self.check(tr, x0, 2, ending)
+
+
 class TestTraceArtifacts:
     def test_csv_export(self, ex1d, tmp_path):
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
