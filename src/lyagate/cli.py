@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 import traceback
@@ -33,6 +34,13 @@ from .errors import LyagateError, SpecFileError
 # ---------------------------------------------------------------------------
 # Spec file
 # ---------------------------------------------------------------------------
+
+def _checked_step(value, where):
+    if not (math.isfinite(value) and value > 0):
+        raise SpecFileError("%s must be finite and positive, got %r"
+                            % (where, value))
+    return value
+
 
 class SystemSpec:
     """Parsed and validated system description."""
@@ -76,7 +84,7 @@ class SystemSpec:
             self.seed = int(raw.get("seed", 0))
             self.step = grid.get("step", None)
             if self.step is not None:
-                self.step = float(self.step)
+                self.step = _checked_step(float(self.step), "grid.step")
         except SpecFileError:
             raise
         except LyagateError:
@@ -94,6 +102,7 @@ class SystemSpec:
         return SystemSpec(raw, path=path)
 
     def default_step(self):
+        """The spec's grid.step, else ``sim.default_step``'s rule."""
         if self.step is not None:
             return self.step
         return sm.default_step(self.system, self.controls, self.families)
@@ -183,6 +192,12 @@ def _resolve_cells(tokens, complex):
     return ids
 
 
+def _step(args, spec):
+    if args.step is not None:
+        return _checked_step(args.step, "--step")
+    return spec.default_step()
+
+
 def _load_strategy(arg, complex):
     if arg.startswith("const:"):
         name = arg[len("const:"):]
@@ -258,7 +273,7 @@ def cmd_simulate(args):
     pipe = Pipeline(spec)
     complex = pipe.complex()
     strategy = _load_strategy(args.strategy, complex)
-    step = args.step or spec.default_step()
+    step = _step(args, spec)
     rng = np.random.default_rng([spec.seed, 1])
     starts = []
     if args.x0:
@@ -280,7 +295,8 @@ def cmd_simulate(args):
             "trace": os.path.basename(path), "x0": list(x0),
             "events": len(trace.events),
             "final_cell": trace.cells[-1],
-            "exited": trace.trajectory.exited})
+            "exited": trace.trajectory.exited,
+            "step_error": trace.step_error})
     _write_json(os.path.join(args.out, "traces.json"),
                 {"horizon": args.horizon, "step": step, "runs": index})
     print("simulated %d trajectories (step %g)" % (len(starts), step))
@@ -295,14 +311,21 @@ def cmd_check_sound(args):
     strategy = _load_strategy(args.strategy, complex)
     cells = (_resolve_cells(args.from_cells.split(";"), complex)
              if args.from_cells else complex.cell_ids())
-    step = args.step or spec.default_step()
+    step = _step(args, spec)
     report = cf.check_sound(
         spec.system, auto, strategy, cells, samples=args.samples,
         horizon=args.horizon, step=step, seed=spec.seed,
         controls=spec.controls)
     _write_json(os.path.join(args.out, "soundness.json"), report.to_dict())
-    print("soundness: %d traces, %d violations, completeness %.2f"
-          % (report.traces, len(report.violations), report.completeness))
+    print("soundness: %d traces, %d violations, completeness %.2f, "
+          "step %g, max step error %.3g"
+          % (report.traces, len(report.violations), report.completeness,
+             step, report.max_step_error))
+    if report.max_step_error > cf.STEP_ERROR_BUDGET:
+        print("warning: max step error %.3g exceeds the budget %g; "
+              "give a smaller --step" % (report.max_step_error,
+                                         cf.STEP_ERROR_BUDGET),
+              file=_sys.stderr)
     return 0 if report.passed else 2
 
 
@@ -317,6 +340,10 @@ def cmd_export(args):
         fh.write(auto.to_dot())
     print("wrote %s" % path)
     return 0
+
+
+_STEP_HELP = ("RK4 step (default: the spec's grid.step, else 1%% of the fastest "
+             "band traversal |gap / L_g phi| seen on a 32-point grid)")
 
 
 def build_parser():
@@ -355,7 +382,7 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=10)
     sp.add_argument("--from", dest="from_cells", help="start cells")
     sp.add_argument("--horizon", type=float, required=True)
-    sp.add_argument("--step", type=float)
+    sp.add_argument("--step", type=float, help=_STEP_HELP)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("check-sound", help="embed simulated traces into the automaton")
@@ -364,7 +391,7 @@ def build_parser():
     sp.add_argument("--samples", type=int, default=100)
     sp.add_argument("--from", dest="from_cells", help="initial cells")
     sp.add_argument("--horizon", type=float, required=True)
-    sp.add_argument("--step", type=float)
+    sp.add_argument("--step", type=float, help=_STEP_HELP)
     sp.set_defaults(func=cmd_check_sound)
 
     sp = sub.add_parser("export", help="DOT graph of the automaton")

@@ -23,6 +23,9 @@ from . import tga as ta
 
 SANDWICH_TOL = 1e-6
 TANGENCY_TOL = 1e-9
+# largest acceptable HybridTrace.step_error: a tenth of epsilon_t's 1e-6
+# modelling slack, so the integrator never uses up the replay tolerance
+STEP_ERROR_BUDGET = 1e-7
 
 
 def epsilon_t(step):
@@ -228,6 +231,7 @@ def check_dwell(trace, bounds_table, sign_table, complex, eps=None):
 class SoundnessReport:
     samples: int
     horizon: float
+    step: float = 0.0
     traces: int = 0
     violations: list = field(default_factory=list)
     guard_violations: int = 0
@@ -237,6 +241,7 @@ class SoundnessReport:
     witnessed: set = field(default_factory=set)
     reachable: set = field(default_factory=set)
     completeness: float = 0.0
+    max_step_error: float = 0.0
 
     @property
     def passed(self):
@@ -246,6 +251,9 @@ class SoundnessReport:
         return {
             "samples": self.samples,
             "horizon": self.horizon,
+            "step": self.step,
+            "max_step_error": self.max_step_error,
+            "step_error_budget": STEP_ERROR_BUDGET,
             "traces": self.traces,
             "passed": self.passed,
             "violations": self.violations,
@@ -293,7 +301,8 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
     the closed loop, converts each trace to a timed location sequence, and
     replays it through restrict(tga, strategy). Any trace whose timing the
     automaton cannot reproduce is recorded as a violation; with sound bounds
-    there must be none.
+    there must be none. The report also records the step and the largest
+    ``HybridTrace.step_error``, to be held against ``STEP_ERROR_BUDGET``.
     """
     complex = tga.complex
     if step is None:
@@ -303,7 +312,7 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
 
     restricted = gm.restrict(tga, strategy)
     rng = np.random.default_rng(seed)
-    report = SoundnessReport(samples=samples, horizon=horizon)
+    report = SoundnessReport(samples=samples, horizon=horizon, step=step)
 
     cells = list(x0_cells)
     for i in range(samples):
@@ -312,6 +321,7 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
         trace = sm.simulate_closed_loop(sys, strategy, complex, x0, horizon,
                                         step, controls=controls)
         report.traces += 1
+        report.max_step_error = max(report.max_step_error, trace.step_error)
         seq = []
         for cid, ctrl, t in trace.location_sequence(strategy):
             name = "sink" if cid == "sink" else tga.location_name(cid, ctrl)

@@ -33,9 +33,23 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const:
     value: float
+
+    # -0.0 == 0.0, but the two compile to different code ((-0.0) ** 1 is
+    # -0.0), and the compile_* caches look expressions up by equality, so
+    # equality and hash tell the signed zeros apart
+    def _key(self):
+        return (self.value, math.copysign(1.0, self.value))
+
+    def __eq__(self, other):
+        if not isinstance(other, Const):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @dataclass(frozen=True)

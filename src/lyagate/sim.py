@@ -16,6 +16,15 @@ so event states are exactly reproducible). Leaving the box, or crossing a
 level with no cell on the other side, ends the trace with a sink event.
 More than 10 events inside a 10-step window aborts with a chattering error,
 the stand-in for sliding behaviour this toolkit does not model.
+
+The step comes from a time budget, not from a state speed: ``default_step``
+takes 1% of the fastest band traversal (band gap / max |L_g phi|) seen on a
+32-point grid, so every band gets about 100 steps. Each trace checks that
+budget a posteriori by step doubling: at every event and at the trace's
+last step the step just taken is taken again as two halves, and the
+difference, turned into a time error and multiplied by the steps of that
+stay, is the trace's ``step_error``. ``conformance.check_sound`` holds it
+against a budget of 1e-7, a tenth of the replay tolerance's modelling slack.
 """
 
 from __future__ import annotations
@@ -23,14 +32,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from math import isfinite
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
 
 from . import expr as ex
+from . import model as md
 from .errors import (
-    ChatteringError, EvalDomainError, NonFiniteStateError, OutOfDomainError,
-    StrategyError,
+    ChatteringError, EvalDomainError, LyagateError, ModelError,
+    NonFiniteStateError, OutOfDomainError, StrategyError,
 )
 from .partition import CellComplex
 
@@ -60,9 +71,6 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def state_at(self, i):
-        return tuple(float(v) for v in self.states[i])
-
 
 @dataclass
 class HybridTrace:
@@ -70,6 +78,9 @@ class HybridTrace:
     events: list
     cells: list               # cell id per sample
     strategy_name: str = ""
+    # largest event-time error estimate over the trace's events and its last
+    # step: the step-doubling difference, times the steps of that stay
+    step_error: float = 0.0
 
     @property
     def step(self):
@@ -159,20 +170,32 @@ def integrate(sys, g, x0, horizon, h):
                       controls=[g.name] * len(times), step=h, exited=exited)
 
 
-def default_step(sys, controls, families, grid=32, scale=1e-3):
-    """Suggested RK4 step: scale * (smallest level gap / largest field norm)."""
-    gaps = [b - a for fam in families for a, b in zip(fam.levels, fam.levels[1:])]
+def default_step(sys, controls, families, grid=32, fraction=1e-2):
+    """RK4 step: ``fraction`` of the fastest band traversal seen on the grid.
+
+    For every (family, band, control) the band's gap divided by the largest
+    ``|L_g phi|`` over the grid points inside the band is a lower estimate
+    of the time the closed loop needs to cross that band (the abstraction's
+    own ``t_lo``). The step is ``fraction`` times the smallest of these, so
+    every band gets at least about ``1 / fraction`` steps. A band with no
+    grid point in it does not count; ``simulate_closed_loop`` measures the
+    error this step causes on every trace (``HybridTrace.step_error``).
+    """
     pts = sys.domain.grid(grid)
-    vmax = 0.0
-    for g in controls:
-        fg = sys.closed_loop(g)
-        sq = np.zeros(len(pts))
-        for comp in fg:
-            sq += ex.compile_vector(comp)(pts) ** 2
-        vmax = max(vmax, float(np.sqrt(sq.max())))
-    if vmax == 0.0:
-        return scale * min(gaps)
-    return scale * min(gaps) / vmax
+    fastest = float("inf")
+    for fam in families:
+        masks = md._band_masks(fam, ex.compile_vector(fam.phi)(pts))
+        for g in controls:
+            rate = np.abs(md.lie_derivative(sys, g, fam).vector_function()(pts))
+            for h, mask in masks.items():
+                vmax = float(rate[mask].max()) if mask.any() else 0.0
+                if vmax > 0.0:
+                    lo, hi = fam.band(h)
+                    fastest = min(fastest, (hi - lo) / vmax)
+    if not isfinite(fastest):
+        raise ModelError("no control moves phi across a band on the %d-point "
+                         "grid; give the step explicitly" % grid)
+    return fraction * fastest
 
 
 def _as_chooser(strategy):
@@ -194,8 +217,11 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     ``strategy`` is either a mapping cell id -> control name or a callable
     (cell id, event count, rng) -> control name (used for randomized
     switching experiments). Returns a HybridTrace whose events carry the
-    crossed family, level, and both cells.
+    crossed family, level, and both cells, and whose ``step_error`` holds
+    the largest event-time error estimate (see ``_step_error``).
     """
+    if not (isfinite(h) and h > 0):
+        raise LyagateError("step must be finite and positive, got %r" % (h,))
     chooser = _as_chooser(strategy)
     steppers = {g.name: ex.compile_step(sys.closed_loop(g)) for g in controls}
     families = complex.families
@@ -221,6 +247,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     cells = [cell]
     events = []
     recent = []
+    step_error = 0.0
 
     t = 0.0
     t_stop = horizon - 1e-15
@@ -247,6 +274,12 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         ctrl_names += [ctrl] * stayed
         cells += [cell] * stayed
         if xn is None:
+            if stayed:
+                # the last step, from the sample before the last one
+                x_prev = tuple(coords[-2 * n:-n])
+                step_error = max(step_error, stayed * max(
+                    _step_error(step_fn, x_prev, x, step, times[-2], phi)
+                    for phi in phi_fns))
             break
         for v in xn:
             if not isfinite(v):
@@ -268,7 +301,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                 lambda s: phi(_advance(step_fn, x, s, t)) - crossed,
                 step, phi(x) - crossed)
             if best is None or tau < best[0]:
-                best = (tau, "level", fam.index, crossed, direction)
+                best = (tau, "level", fam.index, crossed, direction, phi)
         for d in range(sys.n):
             lo_d = sys.domain.lower[d]
             hi_d = sys.domain.upper[d]
@@ -283,7 +316,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                 lambda s: _advance(step_fn, x, s, t)[d] - crossed,
                 step, x[d] - crossed)
             if best is None or tau < best[0]:
-                best = (tau, "domain", None, crossed, 0)
+                best = (tau, "domain", None, crossed, 0, itemgetter(d))
 
         if best is None:
             # only a nan phi stops the inner loop without a crossing
@@ -295,7 +328,9 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             cells.append(cell)
             continue
 
-        tau, kind, fam_idx, level, direction = best
+        tau, kind, fam_idx, level, direction, value = best
+        step_error = max(step_error, (stayed + 1) * _step_error(
+            step_fn, x, xn, step, t, value))
         tau = max(tau, 1e-15)
         x_event = _advance(step_fn, x, tau, t)
         t_event = t + tau
@@ -316,7 +351,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             ctrl_names.append(ctrl)
             cells.append(cell)
             return _finish(times, coords, n, ctrl_names, cells, events, h,
-                           strategy, exited=True)
+                           strategy, step_error, exited=True)
 
         partners = complex.neighbors_toward(cell, fam_idx, direction)
         if not partners:
@@ -328,7 +363,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             ctrl_names.append(ctrl)
             cells.append(cell)
             return _finish(times, coords, n, ctrl_names, cells, events, h,
-                           strategy, exited=True)
+                           strategy, step_error, exited=True)
 
         new_cell = None
         if len(partners) == 1:
@@ -369,16 +404,38 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         cells.append(cell)
 
     return _finish(times, coords, n, ctrl_names, cells, events, h, strategy,
-                   exited=False)
+                   step_error, exited=False)
 
 
-def _finish(times, coords, n, ctrls, cells, events, h, strategy, exited):
+def _step_error(step_fn, x, xn, step, t, value):
+    """Event-time error of one RK4 step, estimated by step doubling.
+
+    The step from ``x`` to ``xn`` is taken once more as two halves; the two
+    results differ by about the full step's local error (Hairer, Norsett &
+    Wanner, Solving ODEs I, section II.4). ``value`` reads the quantity the
+    event is located on: phi of the crossed family, or the coordinate that
+    left the box. Its difference over the two results, divided by its rate
+    along the step (the secant of ``value`` over the step, i.e. the mean of
+    ``L_g phi`` or of ``f_d``), is the shift that error causes in the time
+    at which ``value`` reaches a threshold.
+    """
+    half = 0.5 * step
+    xh = _advance(step_fn, _advance(step_fn, x, half, t), half, t + half)
+    diff = abs(value(xn) - value(xh))
+    if diff == 0.0:
+        return 0.0
+    rate = abs(value(xn) - value(x)) / step
+    return diff / rate if rate > 0.0 else float("inf")
+
+
+def _finish(times, coords, n, ctrls, cells, events, h, strategy, step_error,
+            exited):
     name = strategy if isinstance(strategy, str) else getattr(strategy, "name", "")
     traj = Trajectory(times=np.fromiter(times, float),
                       states=np.fromiter(coords, float).reshape(-1, n),
                       controls=ctrls, step=h, exited=exited)
     return HybridTrace(trajectory=traj, events=events, cells=cells,
-                       strategy_name=str(name))
+                       strategy_name=str(name), step_error=step_error)
 
 
 def _bisect_event(fun, step, f0, tol=EVENT_TIME_TOL, iters=80):

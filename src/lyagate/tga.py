@@ -42,10 +42,6 @@ class FamilyUpdate:
         c1, c2 = pair
         return (a1 + b11 * c1 + b12 * c2, a2 + b21 * c1 + b22 * c2)
 
-    @property
-    def is_reset(self):
-        return self.alpha == (0.0, 0.0) and self.beta == ((0.0, 0.0), (0.0, 0.0))
-
 
 RESET = FamilyUpdate((0.0, 0.0), ((0.0, 0.0), (0.0, 0.0)))
 

@@ -96,6 +96,7 @@ class TestSimulate:
                    "--out", str(tmp_path)) == 0
         index = json.loads((tmp_path / "traces.json").read_text())
         assert index["runs"][0]["events"] == 1
+        assert 0.0 <= index["runs"][0]["step_error"] < 1e-7
         csv = (tmp_path / "trace_000.csv").read_text().splitlines()
         assert csv[0] == "t,x1,cell,control"
 
@@ -132,6 +133,34 @@ class TestCheckSound:
         assert rep["passed"] is True
         assert rep["traces"] == 20
 
+    def test_default_step_report(self, tmp_path, capsys):
+        assert run("check-sound", SPEC_1D, "--strategy", "const:g0",
+                   "--samples", "30", "--horizon", "10",
+                   "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "soundness.json").read_text())
+        assert rep["step"] == pytest.approx(4.0 / 900.0, rel=1e-12)
+        assert 0.0 < rep["max_step_error"] <= rep["step_error_budget"] == 1e-7
+        out, err = capsys.readouterr()
+        assert out.startswith("soundness: 30 traces, 0 violations, "
+                              "completeness 1.00, step 0.00444444, "
+                              "max step error ")
+        assert "warning" not in err
+
+    def test_step_error_over_budget_warns(self, tmp_path, capsys):
+        """A band 0.02 wide in phi at 100x the default step: the verdict and
+        exit code stand, and stderr says the step is too coarse."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["partitions"] = [{"phi": "x1^2", "levels": [0.0, 1.0, 1.02, 9.0]}]
+        spec["grid"] = {"points_per_dim": 512, "admissibility": 512}
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps(spec))
+        assert run("check-sound", str(path), "--strategy", "const:g0",
+                   "--samples", "6", "--horizon", "10", "--step", "0.44",
+                   "--out", str(tmp_path)) == 0
+        rep = json.loads((tmp_path / "soundness.json").read_text())
+        assert rep["max_step_error"] > rep["step_error_budget"]
+        assert "exceeds the budget" in capsys.readouterr().err
+
     def test_invalid_spec_exits_1(self, tmp_path):
         assert run("check-sound", SPEC_G15, "--strategy", "const:g0",
                    "--samples", "5", "--horizon", "2",
@@ -151,6 +180,31 @@ class TestCheckSound:
         rep = json.loads((tmp_path / "soundness.json").read_text())
         assert rep["passed"] is False
         assert rep["violations"]
+
+
+class TestBadStep:
+    """A step that is not finite and positive is bad input, wherever it
+    comes from; before, -0.01 and nan gave false violations (exit 2), inf
+    passed and 0 silently meant the default."""
+
+    @pytest.mark.parametrize("command", ["simulate", "check-sound"])
+    @pytest.mark.parametrize("step", ["-0.01", "nan", "inf", "0"])
+    def test_cli_step_exits_1(self, tmp_path, capsys, command, step):
+        assert run(command, SPEC_1D, "--strategy", "const:g0",
+                   "--samples", "3", "--horizon", "10", "--step=" + step,
+                   "--out", str(tmp_path)) == 1
+        assert "--step must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [-0.01, float("nan"), float("inf"), 0.0])
+    def test_spec_step_exits_1(self, tmp_path, capsys, step):
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["grid"] = dict(spec["grid"], step=step)
+        path = tmp_path / "bad_step.json"
+        path.write_text(json.dumps(spec))
+        assert run("check-sound", str(path), "--strategy", "const:g0",
+                   "--samples", "3", "--horizon", "10",
+                   "--out", str(tmp_path)) == 1
+        assert "grid.step must be finite and positive" in capsys.readouterr().err
 
 
 class TestExport:

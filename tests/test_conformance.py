@@ -37,7 +37,7 @@ class TestSandwich:
         inf_r, sup_r = ex1d.bounds.rates(1, 2, "g0")
         for i in np.flatnonzero(inside)[::50]:
             t = float(times[i])
-            dphi = phi(tr.trajectory.state_at(i)) - 9.0
+            dphi = phi(tr.trajectory.states[i]) - 9.0
             assert -sup_r * t - 1e-6 <= dphi <= -inf_r * t + 1e-6
 
     def test_corrupted_rates_detected(self, ex1d):

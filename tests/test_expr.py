@@ -120,6 +120,14 @@ class TestNegativeConstant:
         assert ex.compile_scalar(e)(()) == 4.0
         assert ex.to_text(e) == "(-2)^2"
 
+    def test_signed_zeros_compile_apart(self):
+        # -0.0 == 0.0, so a cache keyed on float equality would hand the
+        # code of one tree to the other
+        neg, pos = ex.Pow(ex.Const(-0.0), 1), ex.Pow(ex.Const(0.0), 1)
+        assert neg != pos
+        assert ex.compile_scalar(neg)(()).hex() == "-0x0.0p+0"
+        assert ex.compile_scalar(pos)(()).hex() == "0x0.0p+0"
+
 
 class TestDifferentiate:
     def test_power_rule(self):

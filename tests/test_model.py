@@ -41,8 +41,8 @@ class TestLieDerivative:
         for _ in range(50):
             x0 = float(rng.uniform(-2.9, 2.9))
             tr = integrate(ex1d.sys, ex1d.g0, (x0,), 2e-4, 1e-4)
-            fd = (phi(tr.state_at(2)) - phi(tr.state_at(0))) / (2e-4)
-            assert ld(tr.state_at(1)) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            fd = (phi(tr.states[2]) - phi(tr.states[0])) / (2e-4)
+            assert ld(tr.states[1]) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestAdmissibility:

@@ -1,14 +1,18 @@
 """Integration, event localization, and hybrid-trace extraction."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import lyagate as lg
+from lyagate import cli
+from lyagate import conformance as cf
 from lyagate import expr as ex
 from lyagate.errors import (
-    ChatteringError, EvalDomainError, NonFiniteStateError, StrategyError,
+    ChatteringError, EvalDomainError, LyagateError, ModelError,
+    NonFiniteStateError, StrategyError,
 )
 
 
@@ -125,6 +129,13 @@ class TestClosedLoop:
             lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (0.5,),
                                     1.0, 1e-3, controls=ex1d.controls)
 
+    @pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_step_rejected(self, ex1d, h):
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        with pytest.raises(LyagateError, match="step must be finite"):
+            lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (2.0,),
+                                    1.0, h, controls=ex1d.controls)
+
 
 class TestFusedStep:
     def test_samples_are_textbook_rk4_steps(self, nav2d, textbook_rk4):
@@ -195,7 +206,7 @@ class TestTrajectoryShape:
         assert traj.states.dtype == np.float64
         assert traj.states.shape == (len(traj), n)
         assert len(traj.controls) == len(tr.cells) == len(traj)
-        assert traj.state_at(0) == tuple(x0)
+        assert tuple(traj.states[0]) == tuple(x0)
         last = tr.events[-1] if tr.events else None
         if ending is None:
             assert not traj.exited
@@ -203,7 +214,7 @@ class TestTrajectoryShape:
             assert traj.exited
             assert (last.kind, last.new_cell) == (ending, "sink")
             assert traj.times[-1] == last.time
-            assert traj.state_at(-1) == last.state
+            assert tuple(traj.states[-1]) == last.state
 
     @pytest.mark.parametrize("ctrl,x0,ending", [
         ("g0", 2.0, None),          # horizon end after one level event
@@ -257,5 +268,67 @@ class TestTraceArtifacts:
 
     def test_default_step(self, ex1d):
         h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
-        # smallest level gap 1, largest |f_g| = 3 at x = +-3
-        assert h == pytest.approx(1e-3 / 3.0, rel=0.05)
+        # fastest traversal: band [1, 9] has gap 8, and |L_g phi| = 2 x^2
+        # under both controls peaks at 18 on the grid point x = +-3
+        assert h == pytest.approx(0.01 * 8.0 / 18.0, rel=1e-12)
+
+    def test_default_step_phase_plane(self, nav2d):
+        h = lg.default_step(nav2d.sys, nav2d.controls, nav2d.families)
+        assert h == pytest.approx(1.3441e-3, rel=1e-4)
+        # the spec's grid.step wins over the rule
+        spec = cli.SystemSpec.load(os.path.join(
+            os.path.dirname(__file__), "..", "demos", "specs",
+            "phase_plane.json"))
+        assert spec.default_step() == 0.002
+
+    def test_default_step_needs_motion_across_a_band(self, ex1d):
+        sysz = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
+                                f=(ex.parse_expression("0*x1 + u1", 1, 1),))
+        with pytest.raises(ModelError, match="give the step explicitly"):
+            lg.default_step(sysz, [ex1d.g0], ex1d.families)
+
+
+class TestStepError:
+    """A band 0.02 wide in phi between wide ones. The default step comes
+    from the wide bands (no grid point of the rule lies in the thin one),
+    so about two steps cross the thin band; event localization must still
+    find both crossings, in order and at the closed-form times."""
+
+    @pytest.fixture(scope="class")
+    def thin(self, ex1d):
+        fam = lg.PartitioningFamily(index=1, phi=ex1d.fam.phi,
+                                    levels=(0.0, 1.0, 1.02, 9.0))
+        # the thin band holds cells only on a fine grid
+        complex = lg.build_cells([fam], ex1d.box, grid=512)
+        kappa = {c: "g0" for c in complex.cell_ids()}
+        h = lg.default_step(ex1d.sys, ex1d.controls, [fam])
+        return complex, kappa, h
+
+    def test_default_step_event_times_example1d(self, ex1d):
+        h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        for x0 in np.linspace(1.05, 2.99, 40):
+            tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
+                                         10.0, h, controls=ex1d.controls)
+            assert tr.events[0].time == pytest.approx(math.log(x0), abs=1e-9)
+            assert tr.step_error <= cf.STEP_ERROR_BUDGET
+
+    def test_default_step_keeps_thin_band_crossings(self, ex1d, thin):
+        complex, kappa, h = thin
+        assert h == pytest.approx(0.01 * 7.98 / 18.0, rel=1e-12)
+        starts = np.linspace(1.05, 2.99, 10)
+        for x0 in np.concatenate([starts, -starts]):
+            tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (x0,),
+                                         10.0, h, controls=ex1d.controls)
+            assert [e.level for e in tr.events] == [1.02, 1.0]
+            assert tr.events[0].time < tr.events[1].time
+            for e in tr.events:
+                exact = math.log(x0 * x0 / e.level) / 2.0
+                assert abs(e.time - exact) <= cf.epsilon_t(h)
+            assert 0.0 < tr.step_error <= cf.STEP_ERROR_BUDGET
+
+    def test_hundredfold_step_exceeds_budget(self, ex1d, thin):
+        complex, kappa, h = thin
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (2.5,),
+                                     10.0, 100.0 * h, controls=ex1d.controls)
+        assert tr.step_error > cf.STEP_ERROR_BUDGET

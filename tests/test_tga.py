@@ -36,7 +36,7 @@ class TestBuild:
         assert t.target == loc(ex1d, "mid", "g0")
         assert t.guard[0][0] == 1
         assert t.guard[0][1] == pytest.approx(4.0 / 9.0, rel=REL)
-        assert dict(t.update.entries)[1].is_reset
+        assert dict(t.update.entries)[1] == ta.RESET
 
     def test_mid_cell_up_has_two_targets(self, ex1d):
         ts = [t.target for t in ex1d.tga.transitions
