@@ -396,7 +396,6 @@ def build_parser():
 
     sp = sub.add_parser("export", help="DOT graph of the automaton")
     common(sp)
-    sp.add_argument("--dot", action="store_true", default=True)
     sp.add_argument("--mode", choices=["cells", "extended"], default="cells")
     sp.set_defaults(func=cmd_export)
     return p

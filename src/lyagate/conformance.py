@@ -237,7 +237,6 @@ class SoundnessReport:
     guard_violations: int = 0
     invariant_violations: int = 0
     other_violations: int = 0
-    dwell_violations: int = 0
     witnessed: set = field(default_factory=set)
     reachable: set = field(default_factory=set)
     completeness: float = 0.0
@@ -260,7 +259,6 @@ class SoundnessReport:
             "guard_violations": self.guard_violations,
             "invariant_violations": self.invariant_violations,
             "other_violations": self.other_violations,
-            "dwell_violations": self.dwell_violations,
             "completeness": self.completeness,
             "witnessed": sorted(self.witnessed),
             "reachable": sorted(self.reachable),

@@ -6,9 +6,9 @@ leads all uncontrollable successors back into the kept set); reachability
 uses a layered attractor (a cell joins when some control forces an exit in
 bounded time and every uncontrollable successor already wins). Restricting
 the game by a strategy collapses the control switch at each cell entry into
-the crossing transition, composing the crossed family's reset with the
-switch map; the reset zeroes the crossed pair, so the composition needs no
-dwell-bound ratios for that family.
+the crossing transition: the edge's update is the crossing's update composed
+with the automaton's own switch edge at the target zone, so the switch maps
+are defined in one place, the ``tga`` module.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import StrategyError, UnboundedRatioError
-from .tga import (
-    RESET, FamilyUpdate, Location, TimedGameAutomaton, Transition, UpdateMap,
-    switch_update,
-)
+from .errors import StrategyError
+from .tga import FamilyUpdate, Location, TimedGameAutomaton, Transition, compose
 
 
 @dataclass(frozen=True)
@@ -195,12 +192,9 @@ def synthesize_reach(tga, goal):
 def restrict(tga, strategy):
     """Timed automaton controlled by a cell-constant strategy.
 
-    Keeps one location per cell; each crossing edge is composed with the
-    entry switch at the target cell. For the crossed family the reset feeds
-    (0,0) into the switch, so only the alpha part survives (same sign: stay
-    reset; opposite sign: jump to the target bounds). Other families get the
-    full switch map; when that map is undefined (infinite dwell bound) the
-    edge is dropped and reported in ``skipped_switches``.
+    Keeps one location per cell. A crossing edge into a cell whose strategy
+    control differs is followed by the automaton's own switch edge at the
+    target zone, so the two collapse into one edge with the composed update.
     """
     cells = tga.cells()
     missing = [c for c in cells if c not in strategy]
@@ -210,18 +204,6 @@ def restrict(tga, strategy):
     for c, g in strategy.items():
         if g not in controls:
             raise StrategyError("strategy names unknown control '%s'" % g)
-
-    families = tga.complex.families
-    fam_pos = {fam.index: i for i, fam in enumerate(families)}
-    zone_y = {}
-    for loc in tga.non_sink_locations():
-        zone_y.setdefault(loc.cell, None)
-    if tga.mode == "cells":
-        for cid in zone_y:
-            zone_y[cid] = tga.complex.cell(cid).y
-    else:
-        for cid in zone_y:
-            zone_y[cid] = tuple(int(s) for s in cid[1:].split("."))
 
     kept = {}
     invariants = {}
@@ -234,8 +216,8 @@ def restrict(tga, strategy):
     sink = Location(name="sink", cell=None, control=None, is_sink=True)
     kept["sink"] = sink
 
+    switches = {(t.source, t.target): t for t in tga.transitions if t.kind == "c"}
     transitions = []
-    skipped = []
     for t in tga.transitions:
         if t.kind != "u":
             continue
@@ -243,53 +225,21 @@ def restrict(tga, strategy):
         if src_loc.is_sink or strategy.get(src_loc.cell) != src_loc.control:
             continue
         dst_loc = tga.locations[t.target]
-        if dst_loc.is_sink:
-            transitions.append(Transition(
-                source=t.source, target="sink", action=t.action, kind="u",
-                guard=t.guard, update=t.update, family=t.family))
-            continue
-        g_old = src_loc.control
-        g_new = strategy[dst_loc.cell]
-        if g_new == g_old:
+        if dst_loc.is_sink or strategy[dst_loc.cell] == dst_loc.control:
             transitions.append(t)
             continue
-        y = zone_y[dst_loc.cell]
-        per_family = {}
-        reason = None
-        for fam in families:
-            h = y[fam_pos[fam.index]]
-            same = (tga.signs.get((fam.index, h, g_old))
-                    == tga.signs.get((fam.index, h, g_new)))
-            if fam.index == t.family:
-                # reset feeds (0,0) into the switch; only alpha survives
-                if same:
-                    per_family[fam.index] = RESET
-                else:
-                    tb = tga.bounds.timing(fam.index, h, g_new)
-                    per_family[fam.index] = FamilyUpdate(
-                        alpha=(tb.t_hi, tb.t_lo),
-                        beta=((0.0, 0.0), (0.0, 0.0)))
-                continue
-            try:
-                per_family[fam.index] = switch_update(
-                    tga.bounds.timing(fam.index, h, g_old),
-                    tga.bounds.timing(fam.index, h, g_new), same)
-            except UnboundedRatioError as err:
-                reason = str(err)
-                break
-        if reason is not None:
-            skipped.append((t.source, t.target, g_new, reason))
-            continue
+        switch = switches[(t.target,
+                           tga.location_name(dst_loc.cell, strategy[dst_loc.cell]))]
         transitions.append(Transition(
-            source=t.source, target=tga.location_name(dst_loc.cell, g_new),
-            action=t.action, kind="u", guard=t.guard,
-            update=UpdateMap.of(per_family), family=t.family))
+            source=t.source, target=switch.target, action=t.action, kind="u",
+            guard=t.guard, update=compose(t.update, switch.update),
+            family=t.family))
 
     return TimedGameAutomaton(
         mode=tga.mode, k=tga.k, locations=kept,
         initial=sorted(n for n in kept if n != "sink"),
         invariants=invariants, transitions=transitions, bounds=tga.bounds,
-        signs=tga.signs, complex=tga.complex, skipped_switches=skipped,
+        signs=tga.signs, complex=tga.complex,
         diagnostics={"restricted": True})
 
 

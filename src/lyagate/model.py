@@ -186,11 +186,6 @@ class SignTable:
     family: int
     control: str
     signs: dict = field(default_factory=dict)       # slice index -> +1 | -1
-    witnesses: dict = field(default_factory=dict)   # slice index -> sample points
-    grid: int = 0
-
-    def sign(self, h):
-        return self.signs[h]
 
 
 def lie_derivative(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily):
@@ -290,7 +285,7 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
     for p in crit:
         keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > r_crit
 
-    table = SignTable(family=fam.index, control=g.name, grid=grid)
+    table = SignTable(family=fam.index, control=g.name)
     for h, band_mask in _band_masks(fam, phi_vals).items():
         mask = band_mask & keep
         if not mask.any():
@@ -313,8 +308,6 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
                 ib = int(np.argmax(np.abs(v)))
             raise AdmissibilityError(fam.index, h, p[ia], float(v[ia]),
                                      p[ib], float(v[ib]))
-        sel = np.linspace(0, mask.sum() - 1, num=min(8, int(mask.sum())), dtype=int)
-        table.witnesses[h] = [tuple(map(float, q)) for q in p[sel]]
     return table
 
 

@@ -7,14 +7,20 @@ reading (bounded above by the invariant), c2 the fastest-progress reading
 (bounded below by guards). Delays advance both components; discrete steps
 apply per-family affine maps alpha + beta * v. Crossing a level resets the
 crossed family's pair; switching the control rescales every pair so that the
-remaining-dwell information survives the change of rates.
+remaining-dwell information survives the change of rates. The switch map is
+total: a slice with no finite dwell bound gets the limit of the ratio map,
+so every (zone, control, control) triple has its switch edge, and ``compose``
+chains maps so that other layers reuse these edges instead of re-deriving
+them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from .errors import FacetSignConflictError, NegativeClockError, UnboundedRatioError
+from .errors import (
+    FacetSignConflictError, ModelError, NegativeClockError, UnboundedRatioError,
+)
 from .model import lie_derivative
 
 NEG_CLOCK_TOL = 1e-12
@@ -57,6 +63,23 @@ class UpdateMap:
         return UpdateMap(tuple(sorted(mapping.items())))
 
 
+def compose(first: UpdateMap, then: UpdateMap):
+    """The update map v -> then(first(v)), family by family."""
+    out = dict(first.entries)
+    for fam, g in then.entries:
+        f = out.get(fam)
+        if f is None:
+            out[fam] = g
+            continue
+        (f11, f12), (f21, f22) = f.beta
+        (g11, g12), (g21, g22) = g.beta
+        out[fam] = FamilyUpdate(
+            alpha=g.apply(f.alpha),
+            beta=((g11 * f11 + g12 * f21, g11 * f12 + g12 * f22),
+                  (g21 * f11 + g22 * f21, g21 * f12 + g22 * f22)))
+    return UpdateMap.of(out)
+
+
 @dataclass(frozen=True)
 class Transition:
     source: str
@@ -72,7 +95,7 @@ class TimedGameAutomaton:
     """Built automaton; immutable once constructed, safe for concurrent readers."""
 
     def __init__(self, mode, k, locations, initial, invariants, transitions,
-                 bounds, signs, complex, skipped_switches, diagnostics=None):
+                 bounds, signs, complex, diagnostics=None):
         self.mode = mode
         self.k = k
         self.locations = dict(locations)
@@ -82,7 +105,6 @@ class TimedGameAutomaton:
         self.bounds = bounds
         self.signs = dict(signs)
         self.complex = complex
-        self.skipped_switches = list(skipped_switches)
         self.diagnostics = dict(diagnostics or {})
         self.sink_name = "sink"
         self._by_source = {}
@@ -143,7 +165,6 @@ class TimedGameAutomaton:
                 for t in sorted(self.transitions,
                                 key=lambda t: (t.source, t.target, t.kind, t.action))
             ],
-            "skipped_switches": [list(map(str, s)) for s in self.skipped_switches],
             "diagnostics": self.diagnostics,
         }
 
@@ -214,22 +235,37 @@ def switch_update(bounds_src, bounds_dst, same_sign):
 
     Same sign of the Lie derivative: rescale both components by the ratio of
     the new and old dwell bounds. Opposite sign: the remaining progress flips,
-    v -> (T_hi', T_lo') - antidiag(T_hi'/t_lo, T_lo'/t_hi) v. Divisors that
-    are zero or infinite have no defined map; that is surfaced, not patched.
+    v -> (t_hi', t_lo') - antidiag(t_hi'/t_lo, t_lo'/t_hi) v. Where t_hi or
+    t_hi' is infinite, c1 maps to 0; with opposite signs and t_hi infinite,
+    c2 maps to t_lo', the limit of the ratio map. Where all four bounds are
+    finite these are the plain ratio maps.
+
+    Why this over-approximates: a pair in a band whose phi progress is the
+    fraction p of the band is represented by c1 in [0, p t_hi] and c2 in
+    [p t_lo, t_lo] (any c1 >= 0 when t_hi is infinite). Then the invariant
+    c1 <= t_hi allows at least the true remaining dwell, and the guard
+    c2 >= t_lo opens no later than the true exit. The map sends this set into
+    the target's set for progress p (same sign) or 1 - p (opposite sign, the
+    band is then crossed the other way); the ratio maps do so exactly. A
+    smaller c1 and a larger c2 only admit more runs, so c1 = 0 lies in every
+    target set, and c2 = t_lo' is the largest value of the opposite-sign set.
+    Only a t_lo or t_lo' that is not finite and positive has no map.
     """
     t_hi, t_lo = bounds_src.t_hi, bounds_src.t_lo
     t_hi2, t_lo2 = bounds_dst.t_hi, bounds_dst.t_lo
-    for name, val in (("t_hi", t_hi), ("t_lo", t_lo),
-                      ("t_hi'", t_hi2), ("t_lo'", t_lo2)):
+    for name, val in (("t_lo", t_lo), ("t_lo'", t_lo2)):
         if not math.isfinite(val) or val <= 0.0:
             raise UnboundedRatioError(
                 "switch update undefined: %s = %s for slice %d of family %d"
                 % (name, val, bounds_src.slice_index, bounds_src.family))
+    bounded = math.isfinite(t_hi) and math.isfinite(t_hi2)
     if same_sign:
         return FamilyUpdate(alpha=(0.0, 0.0),
-                            beta=((t_hi2 / t_hi, 0.0), (0.0, t_lo2 / t_lo)))
-    return FamilyUpdate(alpha=(t_hi2, t_lo2),
-                        beta=((0.0, -t_hi2 / t_lo), (-t_lo2 / t_hi, 0.0)))
+                            beta=((t_hi2 / t_hi if bounded else 0.0, 0.0),
+                                  (0.0, t_lo2 / t_lo)))
+    a1, b12 = (t_hi2, -t_hi2 / t_lo) if bounded else (0.0, 0.0)
+    b21 = -t_lo2 / t_hi if math.isfinite(t_hi) else 0.0
+    return FamilyUpdate(alpha=(a1, t_lo2), beta=((0.0, b12), (b21, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +316,10 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
     ``sign_table`` maps (family, slice index, control name) -> +1/-1 as
     produced by model.admissibility_map. Uncontrollable transitions follow
     the facet sign of the Lie derivative (checked on the stored facet
-    samples); controllable transitions carry the switch update maps, and are
-    skipped (with a report entry) when an update would need an infinite
-    dwell bound.
+    samples); every ordered pair of distinct controls gets a controllable
+    switch in every zone, carrying the switch update maps. A slice of a zone
+    with no sign for some control (no admissibility grid point fell inside
+    it) is refused with a ModelError.
     """
     controls = list(controls)
     families = complex.families
@@ -290,12 +327,10 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
     fam_pos = {fam.index: i for i, fam in enumerate(families)}
     zones, adjacency = _zones_and_adjacency(complex, mode)
     zone_by_id = {z.id: z for z in zones}
-    controls_by_name = {g.name: g for g in controls}
 
     locations = {}
     invariants = {}
     transitions = []
-    skipped = []
 
     sink = Location(name="sink", cell=None, control=None, is_sink=True)
     locations[sink.name] = sink
@@ -310,6 +345,12 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
             inv = []
             for fam in families:
                 h = z.y[fam_pos[fam.index]]
+                if (fam.index, h, g.name) not in sign_table:
+                    raise ModelError(
+                        "family %d, slice %d has no admissibility sign under "
+                        "control %s: no admissibility grid point lies in the "
+                        "slice; raise grid.admissibility"
+                        % (fam.index, h, g.name))
                 t_hi = bounds.t_hi(fam.index, h, g.name)
                 if math.isfinite(t_hi):
                     inv.append((fam.index, t_hi))
@@ -340,8 +381,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
             upper = zb if lower == za else za
             src, dst = (lower, upper) if sgn > 0 else (upper, lower)
             h_src = zone_by_id[src].y[fam_pos[fam_idx]]
-            table_sign = sign_table.get((fam_idx, h_src, g.name))
-            if table_sign is not None and table_sign != sgn:
+            if sign_table[(fam_idx, h_src, g.name)] != sgn:
                 raise FacetSignConflictError(za, zb, fam_idx, g.name, vals)
             guard = ((fam_idx, bounds.t_lo(fam_idx, h_src, g.name)),)
             transitions.append(Transition(
@@ -357,9 +397,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
         for g in controls:
             for fam in families:
                 h = z.y[fam_pos[fam.index]]
-                sgn = sign_table.get((fam.index, h, g.name))
-                if sgn is None:
-                    continue
+                sgn = sign_table[(fam.index, h, g.name)]
                 if covered.get((z.id, fam.index, sgn, g.name)):
                     continue
                 lo, hi = fam.band(h)
@@ -386,21 +424,13 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
                 if g2.name == g.name:
                     continue
                 per_family = {}
-                reason = None
                 for fam in families:
                     h = z.y[fam_pos[fam.index]]
-                    same = (sign_table.get((fam.index, h, g.name))
-                            == sign_table.get((fam.index, h, g2.name)))
-                    try:
-                        per_family[fam.index] = switch_update(
-                            bounds.timing(fam.index, h, g.name),
-                            bounds.timing(fam.index, h, g2.name), same)
-                    except UnboundedRatioError as err:
-                        reason = str(err)
-                        break
-                if reason is not None:
-                    skipped.append((z.id, g.name, g2.name, reason))
-                    continue
+                    same = (sign_table[(fam.index, h, g.name)]
+                            == sign_table[(fam.index, h, g2.name)])
+                    per_family[fam.index] = switch_update(
+                        bounds.timing(fam.index, h, g.name),
+                        bounds.timing(fam.index, h, g2.name), same)
                 transitions.append(Transition(
                     source=loc_name(z.id, g.name), target=loc_name(z.id, g2.name),
                     action="c:%s" % g2.name, kind="c", guard=(),
@@ -410,7 +440,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
     return TimedGameAutomaton(
         mode=mode, k=k, locations=locations, initial=initial,
         invariants=invariants, transitions=transitions, bounds=bounds,
-        signs=sign_table, complex=complex, skipped_switches=skipped,
+        signs=sign_table, complex=complex,
         diagnostics={"level_exits_without_neighbor": level_exit_notes})
 
 

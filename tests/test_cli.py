@@ -161,6 +161,41 @@ class TestCheckSound:
         assert rep["max_step_error"] > rep["step_error_budget"]
         assert "exceeds the budget" in capsys.readouterr().err
 
+    def test_slice_without_admissibility_sign_exits_1(self, tmp_path, capsys):
+        """The thin band [1, 1.02] holds no point of the 128-point
+        admissibility grid, so it has no sign; the build refuses it with a
+        hint instead of ending in a KeyError (exit 3) at check-sound."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["partitions"] = [{"phi": "x1^2", "levels": [0.0, 1.0, 1.02, 9.0]}]
+        spec["grid"] = {"points_per_dim": 512, "admissibility": 128}
+        path = tmp_path / "thin128.json"
+        path.write_text(json.dumps(spec))
+        assert run("abstract", str(path), "--out", str(tmp_path)) == 1
+        assert run("check-sound", str(path), "--strategy", "const:g0",
+                   "--samples", "2", "--horizon", "10",
+                   "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("family 1, slice 2 has no admissibility sign under "
+                         "control g0") == 2
+        assert "raise grid.admissibility" in err
+
+    def test_phase_plane_reach_strategy_embeds(self, tmp_path):
+        """Every entry switch of the reach strategy is the automaton's own
+        total switch map; what remains are box exits, which have no sink
+        edge yet."""
+        assert run("synthesize", SPEC_NAV, "--reach", "@0.5,0",
+                   "--out", str(tmp_path)) == 0
+        code = run("check-sound", SPEC_NAV,
+                   "--strategy", str(tmp_path / "strategy.json"),
+                   "--samples", "100", "--horizon", "6",
+                   "--out", str(tmp_path))
+        rep = json.loads((tmp_path / "soundness.json").read_text())
+        assert code == (0 if rep["passed"] else 2)
+        assert len(rep["violations"]) <= 3
+        for v in rep["violations"]:
+            assert v["violation"]["kind"] == "missing-edge"
+            assert v["violation"]["detail"] == "no transition to sink"
+
     def test_invalid_spec_exits_1(self, tmp_path):
         assert run("check-sound", SPEC_G15, "--strategy", "const:g0",
                    "--samples", "5", "--horizon", "2",
@@ -209,7 +244,7 @@ class TestBadStep:
 
 class TestExport:
     def test_dot(self, tmp_path):
-        assert run("export", SPEC_1D, "--dot", "--out", str(tmp_path)) == 0
+        assert run("export", SPEC_1D, "--out", str(tmp_path)) == 0
         dot = (tmp_path / "automaton.dot").read_text()
         assert dot.startswith("digraph")
         assert "style=dashed" in dot and "style=solid" in dot

@@ -102,14 +102,15 @@ class TestRestrict:
                    if t.source == "(%s,g2x)" % ex1d.mid]
         assert len(out_mid) == 2
         # entries into the mid cell switch g0 -> g2x: opposite signs, so the
-        # composed update jumps the crossed pair to the target bounds
+        # composed update jumps the crossed pair to the target bounds, with
+        # c1 at 0 because the slice has no finite t_hi
         into_mid = [t for t in r.transitions
                     if t.target == "(%s,g2x)" % ex1d.mid]
         assert into_mid
         for t in into_mid:
             fu = dict(t.update.entries)[1]
             assert fu.beta == ((0.0, 0.0), (0.0, 0.0))
-            assert fu.alpha[0] == math.inf          # no invariant on that slice
+            assert fu.alpha[0] == 0.0               # no invariant on that slice
             assert fu.alpha[1] == pytest.approx(0.5, rel=REL)
 
     def test_empty_strategy_rejected(self, ex1d):
@@ -122,7 +123,7 @@ class TestRestrict:
         empty = TimedGameAutomaton(
             mode="cells", k=1, locations={}, initial=(), invariants={},
             transitions=[], bounds=ex1d.bounds, signs=ex1d.signs,
-            complex=ex1d.complex, skipped_switches=[])
+            complex=ex1d.complex)
         r = gm.restrict(empty, {})
         assert r.transitions == []
         assert list(r.locations) == ["sink"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lyagate as lg
 from lyagate import tga as ta
@@ -54,9 +55,19 @@ class TestBuild:
               if t.source == loc(ex1d, "mid", "g0") and t.kind == "u"]
         assert ts == []
 
-    def test_switches_skipped_in_unbounded_slice(self, ex1d):
-        skipped_cells = {s[0] for s in ex1d.tga.skipped_switches}
-        assert skipped_cells == {ex1d.mid}
+    def test_unbounded_slice_keeps_its_switches(self, ex1d):
+        """The mid slice has no finite dwell bound under either control, and
+        it still gets both switches: c1 maps to 0 and, the signs being
+        opposite, c2 maps to the target's t_lo."""
+        assert sum(t.kind == "c" for t in ex1d.tga.transitions) == 6
+        h = ex1d.complex.cell(ex1d.mid).y[0]
+        for g, g2 in (("g0", "g2x"), ("g2x", "g0")):
+            ts = [t for t in ex1d.tga.transitions
+                  if t.source == loc(ex1d, "mid", g) and t.kind == "c"]
+            assert [t.target for t in ts] == [loc(ex1d, "mid", g2)]
+            t_lo2 = ex1d.bounds.timing(1, h, g2).t_lo
+            assert dict(ts[0].update.entries)[1] == ta.FamilyUpdate(
+                alpha=(0.0, t_lo2), beta=((0.0, 0.0), (0.0, 0.0)))
 
     def test_crossing_family_matches_band_change(self, ex1d, nav2d):
         for auto in (ex1d.tga, nav2d.tga):
@@ -165,12 +176,74 @@ class TestSwitchUpdate:
         assert out[0][1] == pytest.approx(0.1)
 
     def test_unbounded_divisor_rejected(self):
+        """Only t_lo divides in the total map: a t_lo that is not finite and
+        positive has no map, while an infinite t_hi gets the limit map."""
         good = self.tb(0.5, 4.0)
-        bad = self.tb(0.5, math.inf)
-        with pytest.raises(UnboundedRatioError):
-            ta.switch_update(bad, good, same_sign=True)
-        with pytest.raises(UnboundedRatioError):
-            ta.switch_update(good, bad, same_sign=False)
+        for t_lo in (0.0, -1.0, math.inf, math.nan):
+            bad = self.tb(t_lo, math.inf)
+            for same in (True, False):
+                with pytest.raises(UnboundedRatioError):
+                    ta.switch_update(bad, good, same_sign=same)
+                with pytest.raises(UnboundedRatioError):
+                    ta.switch_update(good, bad, same_sign=same)
+        unbounded = self.tb(0.5, math.inf)
+        zero = (0.0, 0.0)
+        scale_c2 = ta.FamilyUpdate(alpha=zero, beta=(zero, (0.0, 1.0)))
+        assert ta.switch_update(unbounded, good, same_sign=True) == scale_c2
+        assert ta.switch_update(good, unbounded, same_sign=True) == scale_c2
+        assert ta.switch_update(unbounded, good, same_sign=False) == \
+            ta.FamilyUpdate(alpha=(0.0, 0.5), beta=(zero, zero))
+        assert ta.switch_update(good, unbounded, same_sign=False) == \
+            ta.FamilyUpdate(alpha=(0.0, 0.5), beta=(zero, (-0.5 / 4.0, 0.0)))
+
+
+_T_LO = st.floats(0.01, 100.0)
+_HI_RATIO = st.one_of(st.just(math.inf), st.floats(1.0, 100.0))
+_UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(t_lo=_T_LO, hi_ratio=_HI_RATIO, t_lo2=_T_LO, hi_ratio2=_HI_RATIO,
+       same=st.booleans(), p=_UNIT, u1=_UNIT, u2=_UNIT,
+       free_c1=st.floats(0.0, 1e6))
+def test_total_switch_map_is_sound(t_lo, hi_ratio, t_lo2, hi_ratio2, same, p,
+                                   u1, u2, free_c1):
+    """A pair at phi progress p, D(p) = {c1 in [0, p t_hi], c2 in [p t_lo,
+    t_lo]} (any c1 >= 0 when t_hi is infinite), maps into the target's D(p)
+    under the same sign and into its D(1 - p) under the opposite sign."""
+    t_hi, t_hi2 = t_lo * hi_ratio, t_lo2 * hi_ratio2
+    fu = ta.switch_update(
+        lg.TimingBounds(1, 1, "g", t_lo=t_lo, t_hi=t_hi, delta_a=1.0),
+        lg.TimingBounds(1, 1, "g2", t_lo=t_lo2, t_hi=t_hi2, delta_a=1.0),
+        same_sign=same)
+    c1 = u1 * p * t_hi if math.isfinite(t_hi) else free_c1
+    c2 = p * t_lo + u2 * (1.0 - p) * t_lo
+    d1, d2 = fu.apply((c1, c2))
+    q = p if same else 1.0 - p
+    tol = 1e-12 * (t_lo2 + (t_hi2 if math.isfinite(t_hi2) else 0.0))
+    assert d1 >= -tol
+    if math.isfinite(t_hi2):
+        assert d1 <= q * t_hi2 + tol
+    assert q * t_lo2 - tol <= d2 <= t_lo2 + tol
+
+
+_COEF = st.floats(-10.0, 10.0)
+_FAMILY_UPDATE = st.builds(
+    lambda a, b: ta.FamilyUpdate(alpha=a, beta=(b[:2], b[2:])),
+    st.tuples(_COEF, _COEF), st.tuples(_COEF, _COEF, _COEF, _COEF))
+_UPDATE_MAP = st.dictionaries(st.integers(1, 3), _FAMILY_UPDATE).map(
+    ta.UpdateMap.of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_UPDATE_MAP, then=_UPDATE_MAP,
+       v=st.tuples(*[st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0))] * 3))
+def test_compose_applies_in_order(first, then, v):
+    """compose(first, then) applied to v equals then applied to first(v)."""
+    got = ta._apply_raw(v, ta.compose(first, then))
+    want = ta._apply_raw(ta._apply_raw(v, first), then)
+    for pair_got, pair_want in zip(got, want):
+        assert pair_got == pytest.approx(pair_want, rel=1e-12, abs=1e-9)
 
 
 class TestEnabled:
