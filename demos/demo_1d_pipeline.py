@@ -31,7 +31,7 @@ fam = lg.PartitioningFamily(index=1, phi=ex.parse_expression("x1^2", 1, 0),
 print("== validation ==")
 report = lg.validate_levels(fam, box)
 print("levels regular, min |grad phi| per level:", report.min_grad)
-signs, _ = lg.admissibility_map(sys, controls, [fam])
+signs = lg.admissibility_map(sys, controls, [fam])
 print("slice-wise signs of phidot:", signs)
 
 # The paper's third control u = 1.5 is NOT admissible: phidot = 2x(1.5 - x)

@@ -43,7 +43,7 @@ families = [fam1, fam2]
 print("validating families and controls...")
 for fam in families:
     lg.validate_levels(fam, box)
-signs, _ = lg.admissibility_map(sys, controls, families, grid=96)
+signs = lg.admissibility_map(sys, controls, families, grid=96)
 
 print("building cells, bounds, and the automaton...")
 slices = {f.index: lg.build_slices(f, box, grid=96) for f in families}
@@ -78,7 +78,7 @@ for i in range(40):
     x0 = complex.uniform_point_in(initial[i % len(initial)], rng)
     trace = lg.simulate_closed_loop(sys, res.strategy, complex, x0, 6.0, 2e-3,
                                     controls=controls)
-    visited = [trace.cells[0]] + [e.new_cell for e in trace.events]
+    visited = [cell for cell, _, _ in trace.visits]
     if any(c in goal for c in visited):
         reached += 1
     if i < 5:

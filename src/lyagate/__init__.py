@@ -17,7 +17,7 @@ from .expr import (
 )
 from .model import (
     Box, ControlSystem, ControlLaw, PartitioningFamily, LieDerivative,
-    SignTable, lie_derivative, check_admissibility, admissibility_map,
+    lie_derivative, check_admissibility, admissibility_map,
     validate_levels, critical_points,
 )
 from .partition import Slice, Cell, CellComplex, build_slices, build_cells, locate

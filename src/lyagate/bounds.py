@@ -28,6 +28,7 @@ from .partition import Slice
 
 ROUND_OUT = 1e-3          # multiplicative outward safety margin on extrema
 _GOLDEN_ITERS = 60
+_REFINE_ITERS = 3         # coordinate sweeps of golden-section refinement
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -75,8 +76,7 @@ def _golden_min(fun, lo, hi, iters=_GOLDEN_ITERS):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, refine_iters=3,
-                            crit=None):
+def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, crit=None):
     """Grid scan of |phidot_g| over slice ∩ X plus golden-section refinement.
 
     The infimum is clamped to zero when an equilibrium of the closed loop
@@ -109,7 +109,7 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, refine_iters=3,
 
     def refine(x0, maximize):
         x = [float(v) for v in x0]
-        for _ in range(refine_iters):
+        for _ in range(_REFINE_ITERS):
             for d in range(sys.n):
                 a = max(lo_b[d], x[d] - spacing[d])
                 b = min(hi_b[d], x[d] + spacing[d])
@@ -219,8 +219,7 @@ class BoundsTable:
         return out
 
 
-def compute_bounds(sys, controls, families, slices_by_family, grid=64,
-                   refine_iters=3):
+def compute_bounds(sys, controls, families, slices_by_family, grid=64):
     """Fill a BoundsTable for every (slice, control) pair.
 
     ``slices_by_family`` maps family index -> list of Slice from build_slices.
@@ -232,7 +231,6 @@ def compute_bounds(sys, controls, families, slices_by_family, grid=64,
         for slc in slices_by_family[fam.index]:
             for g in controls:
                 ext = extremal_lie_derivative(
-                    slc, g, fam, sys, grid=grid, refine_iters=refine_iters,
-                    crit=crit_cache[g.name])
+                    slc, g, fam, sys, grid=grid, crit=crit_cache[g.name])
                 table.add(ext, timing_bounds(ext, slc.width))
     return table

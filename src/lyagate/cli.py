@@ -79,8 +79,6 @@ class SystemSpec:
             grid = raw.get("grid", {})
             self.grid = int(grid.get("points_per_dim", 64))
             self.adm_grid = int(grid.get("admissibility", 128))
-            self.refine_iters = int(grid.get("refine_iters", 3))
-            self.stability_check = bool(grid.get("stability_check", True))
             self.seed = int(raw.get("seed", 0))
             self.step = grid.get("step", None)
             if self.step is not None:
@@ -128,7 +126,7 @@ class Pipeline:
 
     def signs(self):
         if self._signs is None:
-            self._signs, _ = md.admissibility_map(
+            self._signs = md.admissibility_map(
                 self.spec.system, self.spec.controls, self.spec.families,
                 grid=self.spec.adm_grid)
         return self._signs
@@ -136,16 +134,14 @@ class Pipeline:
     def complex(self):
         if self._complex is None:
             self._complex = pt.build_cells(
-                self.spec.families, self.spec.box, grid=self.spec.grid,
-                stability_check=self.spec.stability_check)
+                self.spec.families, self.spec.box, grid=self.spec.grid)
         return self._complex
 
     def bounds(self):
         if self._bounds is None:
             self._bounds = bd.compute_bounds(
                 self.spec.system, self.spec.controls, self.spec.families,
-                self.slices(), grid=self.spec.grid,
-                refine_iters=self.spec.refine_iters)
+                self.slices(), grid=self.spec.grid)
         return self._bounds
 
     def automaton(self, mode="cells"):
@@ -167,7 +163,19 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _resolve_cells(tokens, complex):
+def _point(text, n):
+    """A state 'v1,v2,...' with exactly ``n`` numeric coordinates."""
+    try:
+        point = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise SpecFileError("point '%s' is not a list of numbers" % text)
+    if len(point) != n:
+        raise SpecFileError("point '%s' has %d coordinates, the system has %d"
+                            % (text, len(point), n))
+    return point
+
+
+def _resolve_cells(tokens, complex, n):
     """Cell selectors: a bbox label like '[-1,1]', or '@x1,x2' for a point."""
     ids = []
     labels = {c.label.replace(" ", ""): c.id for c in complex.cells}
@@ -176,8 +184,7 @@ def _resolve_cells(tokens, complex):
         if not tok:
             continue
         if tok.startswith("@"):
-            point = tuple(float(v) for v in tok[1:].split(","))
-            ids.append(complex.cell_at(point))
+            ids.append(complex.cell_at(_point(tok[1:], n)))
             continue
         key = tok.replace(" ", "")
         if key in labels:
@@ -190,6 +197,16 @@ def _resolve_cells(tokens, complex):
             "unknown cell '%s'; known labels: %s"
             % (tok, sorted(labels)))
     return ids
+
+
+def _start_cells(args, spec, complex):
+    """The cells named by --from, else every cell."""
+    if not args.from_cells:
+        return complex.cell_ids()
+    cells = _resolve_cells(args.from_cells.split(";"), complex, spec.n)
+    if not cells:
+        raise SpecFileError("--from '%s' selects no cell" % args.from_cells)
+    return cells
 
 
 def _step(args, spec):
@@ -221,11 +238,13 @@ def cmd_validate(args):
         lv = md.validate_levels(fam, spec.box, grid=spec.adm_grid)
         report["families"].append(lv.to_dict())
         pt.build_slices(fam, spec.box, grid=spec.grid)
-    signs, tables = md.admissibility_map(
+    signs = md.admissibility_map(
         spec.system, spec.controls, spec.families, grid=spec.adm_grid)
-    for t in tables:
-        report["controls"].setdefault(t.control, {})["family_%d" % t.family] = {
-            str(h): ("+" if s > 0 else "-") for h, s in sorted(t.signs.items())}
+    for g in spec.controls:
+        report["controls"][g.name] = {
+            "family_%d" % fam.index: {} for fam in spec.families}
+    for (f, h, c), s in signs.items():
+        report["controls"][c]["family_%d" % f][str(h)] = "+" if s > 0 else "-"
     _write_json(os.path.join(args.out, "validation.json"), report)
     print("validation ok: %d families, %d controls"
           % (len(spec.families), len(spec.controls)))
@@ -254,10 +273,11 @@ def cmd_synthesize(args):
     if args.reach is None and args.avoid is None:
         raise SpecFileError("synthesize needs --reach or --avoid")
     if args.reach is not None:
-        goal = _resolve_cells(args.reach.split(";"), complex)
+        goal = _resolve_cells(args.reach.split(";"), complex, spec.n)
         result = gm.synthesize_reach(auto, goal)
     else:
-        avoid = _resolve_cells(args.avoid.split(";"), complex) if args.avoid else []
+        avoid = (_resolve_cells(args.avoid.split(";"), complex, spec.n)
+                 if args.avoid else [])
         result = gm.synthesize_safety(auto, avoid)
     _write_json(os.path.join(args.out, "strategy.json"),
                 {"strategy": dict(sorted(result.strategy.items()))})
@@ -277,10 +297,9 @@ def cmd_simulate(args):
     rng = np.random.default_rng([spec.seed, 1])
     starts = []
     if args.x0:
-        starts.append(tuple(float(v) for v in args.x0.split(",")))
+        starts.append(_point(args.x0, spec.n))
     else:
-        cells = (_resolve_cells(args.from_cells.split(";"), complex)
-                 if args.from_cells else complex.cell_ids())
+        cells = _start_cells(args, spec, complex)
         for i in range(args.samples):
             starts.append(complex.uniform_point_in(cells[i % len(cells)], rng))
     index = []
@@ -294,7 +313,7 @@ def cmd_simulate(args):
         index.append({
             "trace": os.path.basename(path), "x0": list(x0),
             "events": len(trace.events),
-            "final_cell": trace.cells[-1],
+            "final_cell": trace.visits[-1][0],
             "exited": trace.trajectory.exited,
             "step_error": trace.step_error})
     _write_json(os.path.join(args.out, "traces.json"),
@@ -309,8 +328,7 @@ def cmd_check_sound(args):
     auto = pipe.automaton("cells")
     complex = pipe.complex()
     strategy = _load_strategy(args.strategy, complex)
-    cells = (_resolve_cells(args.from_cells.split(";"), complex)
-             if args.from_cells else complex.cell_ids())
+    cells = _start_cells(args, spec, complex)
     step = _step(args, spec)
     report = cf.check_sound(
         spec.system, auto, strategy, cells, samples=args.samples,

@@ -51,24 +51,24 @@ class Stay:
 
 
 def _stays(trace: sm.HybridTrace, complex, family):
-    fam = next(f for f in complex.families if f.index == family)
     fam_pos = [f.index for f in complex.families].index(family)
     times = trace.trajectory.times
+    visits = trace.visits
     pieces = trace.segments()
     stays = []
     i0 = 0
     t0 = float(times[0])
+    cell = visits[0][0]
     entry_level = None
-    events = list(trace.events) + [None]
-    for e in events:
+    for k, e in enumerate(trace.events + [None]):
         at_end = e is None
         t1 = float(times[-1]) if at_end else e.time
         crosses = (not at_end and e.kind == "level" and e.family == family
                    and e.new_cell != "sink")
         sinks = not at_end and e.new_cell == "sink"
         if crosses or sinks or at_end:
-            i1 = int(np.searchsorted(times, t1, side="right"))
-            cell = trace.cells[i0]
+            # a crossing's sample opens visit k + 1 and belongs to both stays
+            i1 = visits[k + 1][2] + 1 if crosses else len(times)
             band = complex.cell(cell).y[fam_pos]
             seg = [s for s in pieces
                    if s[2] > t0 + 1e-15 and s[1] < t1 - 1e-15]
@@ -83,12 +83,12 @@ def _stays(trace: sm.HybridTrace, complex, family):
             if at_end or sinks:
                 break
             t0 = t1
-            i0 = i1 - 1   # the event sample belongs to both stays
+            cell, _, i0 = visits[k + 1]
             entry_level = e.level
     return stays
 
 
-def _envelopes(stay, rates, sign_of, t):
+def _envelopes(stay, bounds_table, signs, t):
     """Lower/upper bound on phi(x(t)) - phi(x(t0)) from the per-control rates."""
     low = up = 0.0
     for control, a, b in stay.segments:
@@ -97,8 +97,8 @@ def _envelopes(stay, rates, sign_of, t):
         dt = min(b, t) - a
         if dt <= 0:
             continue
-        inf_r, sup_r = rates(stay.family, stay.band, control)
-        if sign_of(stay.family, stay.band, control) > 0:
+        inf_r, sup_r = bounds_table.rates(stay.family, stay.band, control)
+        if signs[(stay.family, stay.band, control)] > 0:
             low += dt * inf_r
             up += dt * sup_r
         else:
@@ -121,19 +121,12 @@ class SandwichReport:
         return not self.violations
 
 
-def check_sandwich(trace, fam, bounds_table, sign_table, complex,
+def check_sandwich(trace, fam, bounds_table, signs, complex,
                    tol=SANDWICH_TOL):
     """Assert envelope bracketing of phi growth on every stay of one family."""
     phi_fn = ex.compile_scalar(fam.phi)
     times = trace.trajectory.times
     states = trace.trajectory.states
-
-    def rates(f, h, c):
-        return bounds_table.rates(f, h, c)
-
-    def sign_of(f, h, c):
-        return sign_table[(f, h, c)]
-
     rep = SandwichReport(family=fam.index)
     for stay in _stays(trace, complex, fam.index):
         rep.stays += 1
@@ -146,7 +139,7 @@ def check_sandwich(trace, fam, bounds_table, sign_table, complex,
         for j, i in enumerate(idx):
             t = float(times[i])
             dphi = phi_fn(tuple(states[i])) - phi0
-            low, up = _envelopes(stay, rates, sign_of, t)
+            low, up = _envelopes(stay, bounds_table, signs, t)
             rep.samples += 1
             slack = min(dphi - low, up - dphi)
             rep.worst_margin = min(rep.worst_margin, slack)
@@ -172,7 +165,7 @@ class DwellReport:
         return not self.violations
 
 
-def check_dwell(trace, bounds_table, sign_table, complex, eps=None):
+def check_dwell(trace, bounds_table, signs, complex, eps=None):
     """Measured dwell of completed traversals against [t_lo - eps, t_hi + eps].
 
     A completed traversal enters through one boundary of the band and leaves
@@ -207,14 +200,7 @@ def check_dwell(trace, bounds_table, sign_table, complex, eps=None):
             else:
                 rep.mixed_stays += 1
                 dphi = stay.exit_level - stay.entry_level
-
-                def rates(f, h, c):
-                    return bounds_table.rates(f, h, c)
-
-                def sign_of(f, h, c):
-                    return sign_table[(f, h, c)]
-
-                low, up = _envelopes(stay, rates, sign_of, stay.t1)
+                low, up = _envelopes(stay, bounds_table, signs, stay.t1)
                 if not (low - SANDWICH_TOL <= dphi <= up + SANDWICH_TOL):
                     rep.violations.append({
                         "family": fam.index, "band": stay.band,
@@ -321,7 +307,7 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
         report.traces += 1
         report.max_step_error = max(report.max_step_error, trace.step_error)
         seq = []
-        for cid, ctrl, t in trace.location_sequence(strategy):
+        for cid, ctrl, t in trace.location_sequence():
             name = "sink" if cid == "sink" else tga.location_name(cid, ctrl)
             seq.append((name, t))
         report.witnessed.update(name for name, _ in seq)

@@ -179,15 +179,6 @@ class LieDerivative:
         return ex.compile_vector(self.expression)
 
 
-@dataclass
-class SignTable:
-    """Per-slice sign of the Lie derivative for one (family, control) pair."""
-
-    family: int
-    control: str
-    signs: dict = field(default_factory=dict)       # slice index -> +1 | -1
-
-
 def lie_derivative(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily):
     """phidot_g = sum_j dphi/dx_j * f_j(x, g(x)), fully closed over x."""
     fg = sys.closed_loop(g)
@@ -269,8 +260,9 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
                         grid=128, r_crit=R_CRIT, crit=None):
     """Slice-wise strict sign of phidot_g, excluding r_crit-balls around equilibria.
 
-    Raises AdmissibilityError with a pair of opposite-sign witness points when
-    any slice mixes signs (or hits an exact zero away from the exclusions).
+    Returns {slice index: +1 | -1}. Raises AdmissibilityError with a pair of
+    opposite-sign witness points when any slice mixes signs (or hits an exact
+    zero away from the exclusions).
     """
     ld = lie_derivative(sys, g, fam)
     phid = ld.vector_function()
@@ -285,7 +277,7 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
     for p in crit:
         keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > r_crit
 
-    table = SignTable(family=fam.index, control=g.name)
+    signs = {}
     for h, band_mask in _band_masks(fam, phi_vals).items():
         mask = band_mask & keep
         if not mask.any():
@@ -295,9 +287,9 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
         pos = v > 0
         neg = v < 0
         if pos.all():
-            table.signs[h] = 1
+            signs[h] = 1
         elif neg.all():
-            table.signs[h] = -1
+            signs[h] = -1
         else:
             if pos.any() and neg.any():
                 ia = int(np.argmax(v))
@@ -308,20 +300,17 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
                 ib = int(np.argmax(np.abs(v)))
             raise AdmissibilityError(fam.index, h, p[ia], float(v[ia]),
                                      p[ib], float(v[ib]))
-    return table
+    return signs
 
 
 def admissibility_map(sys, controls, families, grid=128):
     """Signs for every (family, slice, control); raises on the first violation."""
     signs = {}
-    tables = []
     for fam in families:
         for g in controls:
-            t = check_admissibility(sys, g, fam, grid=grid)
-            tables.append(t)
-            for h, s in t.signs.items():
+            for h, s in check_admissibility(sys, g, fam, grid=grid).items():
                 signs[(fam.index, h, g.name)] = s
-    return signs, tables
+    return signs
 
 
 @dataclass

@@ -10,12 +10,18 @@ inline, while the state stays in the box and every phi in the cell's band.
 It appends each sample's time to one list and its coordinates to one flat
 list, from which the trajectory's arrays are built once at the end. The
 first step that leaves goes to the event code: a non-finite state is an
-error, and a crossing is localized by bisection on phi(x(t)) - a within the
-step (the dense state comes from re-taking the step with a shorter length,
-so event states are exactly reproducible). Leaving the box, or crossing a
-level with no cell on the other side, ends the trace with a sink event.
-More than 10 events inside a 10-step window aborts with a chattering error,
-the stand-in for sliding behaviour this toolkit does not model.
+error, and the earliest crossing of a level or a box face is localized by
+bisection on phi(x(t)) - a (or x_d(t) - a) within the step (the dense state
+comes from re-taking the step with a shorter length, so event states are
+exactly reproducible). Leaving the box, or crossing a level with no cell on
+the other side, ends the trace with a sink event. More than 10 events
+inside a 10-step window aborts with a chattering error, the stand-in for
+sliding behaviour this toolkit does not model.
+
+A trace records the run it took as visits: one (cell, control, first
+sample index) per location entered. The sample of a crossing opens the
+next visit; the sample of a sink event closes the last one. The trace's
+segments, its location sequence and its CSV rows all read the visits.
 
 The step comes from a time budget, not from a state speed: ``default_step``
 takes 1% of the fastest band traversal (band gap / max |L_g phi|) seen on a
@@ -30,7 +36,7 @@ against a budget of 1e-7, a tenth of the replay tolerance's modelling slack.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 from operator import itemgetter
 from typing import Mapping
@@ -64,7 +70,6 @@ class Event:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    controls: list            # control name per sample
     step: float
     exited: bool = False
 
@@ -76,8 +81,10 @@ class Trajectory:
 class HybridTrace:
     trajectory: Trajectory
     events: list
-    cells: list               # cell id per sample
-    strategy_name: str = ""
+    # (cell, control, first sample index), one per location entered: the
+    # sample of a crossing opens the next visit, and the sample of a sink
+    # event closes the last one
+    visits: list
     # largest event-time error estimate over the trace's events and its last
     # step: the step-doubling difference, times the steps of that stay
     step_error: float = 0.0
@@ -87,27 +94,28 @@ class HybridTrace:
         return self.trajectory.step
 
     def segments(self):
-        """(control, t_start, t_end) pieces between consecutive events."""
+        """(control, t_start, t_end) of every visit that lasts."""
         times = self.trajectory.times
-        bounds = [times[0]] + [e.time for e in self.events] + [times[-1]]
-        idx = 0
-        out = []
-        for a, b in zip(bounds, bounds[1:]):
-            while idx + 1 < len(times) and times[idx] < a - 1e-15:
-                idx += 1
-            out.append((self.trajectory.controls[idx], float(a), float(b)))
-        return [s for s in out if s[2] > s[1]]
+        ends = [times[start] for _, _, start in self.visits[1:]] + [times[-1]]
+        return [(ctrl, float(times[start]), float(end))
+                for (_, ctrl, start), end in zip(self.visits, ends)
+                if end > times[start]]
 
-    def location_sequence(self, strategy):
+    def location_sequence(self):
         """[(cell, control, entry time), ...] for embedding into the automaton."""
-        seq = [(self.cells[0], strategy[self.cells[0]],
-                float(self.trajectory.times[0]))]
-        for e in self.events:
-            if e.new_cell == "sink":
-                seq.append(("sink", None, e.time))
-            else:
-                seq.append((e.new_cell, strategy[e.new_cell], e.time))
+        times = self.trajectory.times
+        seq = [(cell, ctrl, float(times[start]))
+               for cell, ctrl, start in self.visits]
+        if self.trajectory.exited:
+            seq.append(("sink", None, self.events[-1].time))
         return seq
+
+    def sample_locations(self):
+        """(cell, control) of every sample, expanded from the visits."""
+        ends = [start for _, _, start in self.visits[1:]] + [len(self.trajectory)]
+        return [(cell, ctrl)
+                for (cell, ctrl, start), end in zip(self.visits, ends)
+                for _ in range(start, end)]
 
     def write_csv(self, path):
         traj = self.trajectory
@@ -116,10 +124,10 @@ class HybridTrace:
             w = csv.writer(fh)
             w.writerow(["t"] + ["x%d" % (i + 1) for i in range(n)]
                        + ["cell", "control"])
-            for i in range(len(traj)):
+            for i, (cell, ctrl) in enumerate(self.sample_locations()):
                 w.writerow([repr(float(traj.times[i]))]
                            + [repr(float(v)) for v in traj.states[i]]
-                           + [self.cells[i], traj.controls[i]])
+                           + [cell, ctrl])
 
 
 def _advance(step, x, h, t):
@@ -167,7 +175,7 @@ def integrate(sys, g, x0, horizon, h):
             exited = True
             break
     return Trajectory(times=np.array(times), states=np.array(states),
-                      controls=[g.name] * len(times), step=h, exited=exited)
+                      step=h, exited=exited)
 
 
 def default_step(sys, controls, families, grid=32, fraction=1e-2):
@@ -216,7 +224,8 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
 
     ``strategy`` is either a mapping cell id -> control name or a callable
     (cell id, event count, rng) -> control name (used for randomized
-    switching experiments). Returns a HybridTrace whose events carry the
+    switching experiments). Returns a HybridTrace whose visits record the
+    (cell, control) locations the trace entered, whose events carry the
     crossed family, level, and both cells, and whose ``step_error`` holds
     the largest event-time error estimate (see ``_step_error``).
     """
@@ -231,23 +240,29 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
              for g in controls}
     n = sys.n
     # a step leaves the box when a component is more than 1e-12 outside it
-    box = tuple((lo - 1e-12, hi + 1e-12)
-                for lo, hi in zip(sys.domain.lower, sys.domain.upper))
+    faces = [(itemgetter(d), lo, hi, 1e-12, None)
+             for d, (lo, hi) in enumerate(zip(sys.domain.lower, sys.domain.upper))]
+    box = tuple((lo - slack, hi + slack) for _, lo, hi, slack, _ in faces)
 
     x = tuple(float(v) for v in x0)
-    res = complex.locate(x)
-    cell = res.primary
-    ctrl = chooser(cell, 0, rng)
-    if ctrl not in steppers:
-        raise StrategyError("unknown control '%s'" % ctrl)
-
     times = [0.0]
     coords = list(x)          # the states, flat: n floats per sample
-    ctrl_names = [ctrl]
-    cells = [cell]
     events = []
+    visits = []
+
+    def enter(cell):
+        """Choose the control for ``cell``; its visit opens at the last sample."""
+        ctrl = chooser(cell, len(events), rng)
+        if ctrl not in steppers:
+            raise StrategyError("unknown control '%s'" % ctrl)
+        visits.append((cell, ctrl, len(times) - 1))
+        return ctrl
+
+    cell = complex.locate(x).primary
+    ctrl = enter(cell)
     recent = []
     step_error = 0.0
+    exited = False
 
     t = 0.0
     t_stop = horizon - 1e-15
@@ -271,8 +286,6 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             _advance(step_fn, tuple(coords[-n:]), min(h, horizon - t), t)
             raise
         stayed = len(times) - stay_start
-        ctrl_names += [ctrl] * stayed
-        cells += [cell] * stayed
         if xn is None:
             if stayed:
                 # the last step, from the sample before the last one
@@ -286,37 +299,25 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                 raise NonFiniteStateError(
                     "non-finite state at t=%g" % (t + step))
 
-        # earliest boundary event inside this step, if any
-        best = None   # (tau, kind, family, level, direction)
-        for fam, phi, (lo, hi) in zip(families, phi_fns, bands):
-            v = phi(xn)
-            crossed = None
-            if v > hi:
+        # Earliest boundary event inside this step, if any: the levels of
+        # every family (no slack), then the box faces (1e-12 slack; the
+        # crossing is located on the face itself). Ties go to the first.
+        levels = [(phi, lo, hi, 0.0, fam.index)
+                  for fam, phi, (lo, hi) in zip(families, phi_fns, bands)]
+        best = None   # (tau, value, crossed, direction, family)
+        for value, lo, hi, slack, family in levels + faces:
+            v = value(xn)
+            if v > hi + slack:
                 crossed, direction = hi, +1
-            elif v < lo:
+            elif v < lo - slack:
                 crossed, direction = lo, -1
-            if crossed is None:
+            else:
                 continue
             tau = _bisect_event(
-                lambda s: phi(_advance(step_fn, x, s, t)) - crossed,
-                step, phi(x) - crossed)
+                lambda s: value(_advance(step_fn, x, s, t)) - crossed,
+                step, value(x) - crossed)
             if best is None or tau < best[0]:
-                best = (tau, "level", fam.index, crossed, direction, phi)
-        for d in range(sys.n):
-            lo_d = sys.domain.lower[d]
-            hi_d = sys.domain.upper[d]
-            crossed = None
-            if xn[d] > hi_d + 1e-12:
-                crossed = hi_d
-            elif xn[d] < lo_d - 1e-12:
-                crossed = lo_d
-            if crossed is None:
-                continue
-            tau = _bisect_event(
-                lambda s: _advance(step_fn, x, s, t)[d] - crossed,
-                step, x[d] - crossed)
-            if best is None or tau < best[0]:
-                best = (tau, "domain", None, crossed, 0, itemgetter(d))
+                best = (tau, value, crossed, direction, family)
 
         if best is None:
             # only a nan phi stops the inner loop without a crossing
@@ -324,11 +325,9 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             x = xn
             times.append(t)
             coords += x
-            ctrl_names.append(ctrl)
-            cells.append(cell)
             continue
 
-        tau, kind, fam_idx, level, direction, value = best
+        tau, value, level, direction, family = best
         step_error = max(step_error, (stayed + 1) * _step_error(
             step_fn, x, xn, step, t, value))
         tau = max(tau, 1e-15)
@@ -342,36 +341,18 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                 "%d events within %g time units at t=%g"
                 % (len(recent), chatter_limit * h, t_event))
 
-        if kind == "domain":
-            events.append(Event(time=t_event, family=None, level=level,
-                                old_cell=cell, new_cell="sink",
-                                state=x_event, kind="domain"))
-            times.append(t_event)
-            coords += x_event
-            ctrl_names.append(ctrl)
-            cells.append(cell)
-            return _finish(times, coords, n, ctrl_names, cells, events, h,
-                           strategy, step_error, exited=True)
-
-        partners = complex.neighbors_toward(cell, fam_idx, direction)
+        # a box face, or a level with no cell on the other side, is a sink
+        partners = ([] if family is None
+                    else complex.neighbors_toward(cell, family, direction))
         if not partners:
-            events.append(Event(time=t_event, family=fam_idx, level=level,
-                                old_cell=cell, new_cell="sink",
-                                state=x_event, kind="level"))
-            times.append(t_event)
-            coords += x_event
-            ctrl_names.append(ctrl)
-            cells.append(cell)
-            return _finish(times, coords, n, ctrl_names, cells, events, h,
-                           strategy, step_error, exited=True)
-
-        new_cell = None
-        if len(partners) == 1:
+            new_cell = "sink"
+        elif len(partners) == 1:
             new_cell = partners[0].other(cell)
         else:
             # disambiguate the component by probing just past the surface
             probe = _advance(step_fn, x,
                              min(tau * (1.0 + _EVENT_NUDGE) + 1e-15, step), t)
+            new_cell = None
             try:
                 loc = complex.locate(tuple(probe))
             except OutOfDomainError:
@@ -389,22 +370,24 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                         for adj in partners]
                 new_cell = min(dist)[1]
 
-        events.append(Event(time=t_event, family=fam_idx, level=level,
-                            old_cell=cell, new_cell=new_cell,
-                            state=x_event, kind="level"))
-        cell = new_cell
-        ctrl = chooser(cell, len(events), rng)
-        if ctrl not in steppers:
-            raise StrategyError("unknown control '%s'" % ctrl)
+        events.append(Event(time=t_event, family=family, level=level,
+                            old_cell=cell, new_cell=new_cell, state=x_event,
+                            kind="domain" if family is None else "level"))
         t = t_event
         x = x_event
         times.append(t)
         coords += x
-        ctrl_names.append(ctrl)
-        cells.append(cell)
+        if new_cell == "sink":
+            exited = True
+            break
+        cell = new_cell
+        ctrl = enter(cell)
 
-    return _finish(times, coords, n, ctrl_names, cells, events, h, strategy,
-                   step_error, exited=False)
+    traj = Trajectory(times=np.fromiter(times, float),
+                      states=np.fromiter(coords, float).reshape(-1, n),
+                      step=h, exited=exited)
+    return HybridTrace(trajectory=traj, events=events, visits=visits,
+                       step_error=step_error)
 
 
 def _step_error(step_fn, x, xn, step, t, value):
@@ -426,16 +409,6 @@ def _step_error(step_fn, x, xn, step, t, value):
         return 0.0
     rate = abs(value(xn) - value(x)) / step
     return diff / rate if rate > 0.0 else float("inf")
-
-
-def _finish(times, coords, n, ctrls, cells, events, h, strategy, step_error,
-            exited):
-    name = strategy if isinstance(strategy, str) else getattr(strategy, "name", "")
-    traj = Trajectory(times=np.fromiter(times, float),
-                      states=np.fromiter(coords, float).reshape(-1, n),
-                      controls=ctrls, step=h, exited=exited)
-    return HybridTrace(trajectory=traj, events=events, cells=cells,
-                       strategy_name=str(name), step_error=step_error)
 
 
 def _bisect_event(fun, step, f0, tol=EVENT_TIME_TOL, iters=80):

@@ -29,7 +29,7 @@ class Example1D:
             levels=(0.0, 1.0, 9.0))
         self.families = [self.fam]
         self.slices = {1: lg.build_slices(self.fam, self.box, grid=grid)}
-        self.signs, self.sign_tables = lg.admissibility_map(
+        self.signs = lg.admissibility_map(
             self.sys, self.controls, self.families, grid=128)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
         self.bounds = lg.compute_bounds(
@@ -70,7 +70,7 @@ class PhasePlane:
         self.families = [self.fam1, self.fam2]
         self.slices = {f.index: lg.build_slices(f, self.box, grid=grid)
                        for f in self.families}
-        self.signs, _ = lg.admissibility_map(
+        self.signs = lg.admissibility_map(
             self.sys, self.controls, self.families, grid=grid)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
         self.bounds = lg.compute_bounds(

@@ -199,7 +199,7 @@ def test_acceptance_8_phase_plane_navigation():
         x0 = nav.complex.uniform_point_in(nav.initial[i % len(nav.initial)], rng)
         trace = lg.simulate_closed_loop(nav.sys, res.strategy, nav.complex,
                                         x0, 6.0, h, controls=nav.controls)
-        visited = [trace.cells[0]] + [e.new_cell for e in trace.events]
+        visited = [cell for cell, _, _ in trace.visits]
         goal_at = next((j for j, c in enumerate(visited) if c in nav.goal), None)
         if goal_at is not None:
             reached += 1

@@ -242,6 +242,29 @@ class TestBadStep:
         assert "grid.step must be finite and positive" in capsys.readouterr().err
 
 
+class TestBadPoint:
+    """A point or cell selector that does not fit the spec is bad input:
+    exit 1, with no coordinate silently dropped."""
+
+    @pytest.mark.parametrize("spec,argv,message", [
+        ("example1d", ["simulate", "--x0", "abc"], "not a list of numbers"),
+        ("example1d", ["synthesize", "--reach", "@abc"], "not a list of numbers"),
+        ("example1d", ["simulate", "--x0", "2.5,1"], "has 2 coordinates"),
+        ("phase_plane", ["simulate", "--x0", "0.5"], "has 1 coordinates"),
+        ("example1d", ["synthesize", "--reach", "@0.5,7"], "has 2 coordinates"),
+        ("example1d", ["simulate", "--from", "@2.5,99"], "has 2 coordinates"),
+        ("example1d", ["simulate", "--from", ";"], "selects no cell"),
+        ("example1d", ["check-sound", "--from", ";"], "selects no cell"),
+    ])
+    def test_exits_1(self, tmp_path, capsys, spec, argv, message):
+        command, *rest = argv
+        if command != "synthesize":
+            rest += ["--strategy", "const:g0", "--horizon", "1"]
+        path = os.path.join(SPEC_DIR, spec + ".json")
+        assert run(command, path, *rest, "--out", str(tmp_path)) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestExport:
     def test_dot(self, tmp_path):
         assert run("export", SPEC_1D, "--out", str(tmp_path)) == 0

@@ -197,7 +197,7 @@ def test_random_systems_sound(seed, dim):
     rng = np.random.default_rng(100 + seed)
     sysr, g, fam = _random_linear_system(rng, dim)
     slices = {1: lg.build_slices(fam, sysr.domain, grid=64)}
-    signs, _ = lg.admissibility_map(sysr, [g], [fam], grid=64)
+    signs = lg.admissibility_map(sysr, [g], [fam], grid=64)
     cx = lg.build_cells([fam], sysr.domain, grid=64)
     tbl = lg.compute_bounds(sysr, [g], [fam], slices, grid=64)
     auto = lg.build_tga(sysr, cx, [g], tbl, signs)

@@ -90,7 +90,7 @@ class TestClosedLoop:
                                      x0, 6.0, 2e-3, controls=nav2d.controls)
         pairs = {(a.a, a.b) for a in nav2d.complex.adjacency}
         pairs |= {(b, a) for a, b in pairs}
-        prev = tr.cells[0]
+        prev = tr.visits[0][0]
         for e in tr.events:
             if e.new_cell == "sink":
                 break
@@ -153,6 +153,7 @@ class TestFusedStep:
                   for g in nav2d.controls}
         event_times = {e.time for e in tr.events}
         times, states = tr.trajectory.times, tr.trajectory.states
+        controls = [ctrl for _, ctrl in tr.sample_locations()]
         checked = 0
         for i in range(1, len(times)):
             if times[i] in event_times:
@@ -160,7 +161,7 @@ class TestFusedStep:
             t = float(times[i - 1])
             step = min(h, horizon - t)
             prev = tuple(float(v) for v in states[i - 1])
-            ref = textbook_rk4(fields[tr.trajectory.controls[i]], prev, step)
+            ref = textbook_rk4(fields[controls[i]], prev, step)
             assert tuple(float(v) for v in states[i]) == ref
             assert float(times[i]) == t + step
             checked += 1
@@ -194,9 +195,35 @@ class TestFusedStep:
             lg.integrate(sysx, ex1d.g0, (x0,), 5.0, 1.0)
 
 
+def check_visits(tr):
+    """The visits are the run the simulator took: one per location entered,
+    opened by the sample of the crossing that entered it; a sink event's
+    sample is the last sample of the last visit."""
+    times = tr.trajectory.times
+    starts = [start for _, _, start in tr.visits]
+    assert starts[0] == 0
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert starts[-1] < len(times)
+    crossings = [e for e in tr.events if e.new_cell != "sink"]
+    assert len(tr.visits) == len(crossings) + 1
+    for e, before, (cell, _, start) in zip(crossings, tr.visits, tr.visits[1:]):
+        assert (e.old_cell, e.new_cell) == (before[0], cell)
+        assert times[start] == e.time
+        assert tuple(tr.trajectory.states[start]) == e.state
+    samples = tr.sample_locations()
+    assert len(samples) == len(times)
+    assert samples[-1] == tr.visits[-1][:2]
+    if tr.trajectory.exited:
+        sink = tr.events[-1]
+        assert (sink.new_cell, sink.old_cell) == ("sink", tr.visits[-1][0])
+        assert times[-1] == sink.time
+        assert starts[-1] < len(times) - 1
+
+
 class TestTrajectoryShape:
     """States are stored flat while simulating; the trajectory must still
-    hold one float64 row of n coordinates per sample, however it ends."""
+    hold one float64 row of n coordinates per sample, however it ends, and
+    its visits must cover every sample."""
 
     @staticmethod
     def check(tr, x0, n, ending):
@@ -205,7 +232,7 @@ class TestTrajectoryShape:
         assert traj.times.shape == (len(traj),)
         assert traj.states.dtype == np.float64
         assert traj.states.shape == (len(traj), n)
-        assert len(traj.controls) == len(tr.cells) == len(traj)
+        check_visits(tr)
         assert tuple(traj.states[0]) == tuple(x0)
         last = tr.events[-1] if tr.events else None
         if ending is None:
@@ -262,9 +289,40 @@ class TestTraceArtifacts:
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (2.0,),
                                      3.0, 1e-3, controls=ex1d.controls)
-        seq = tr.location_sequence(kappa)
-        assert seq[0][0] == ex1d.right and seq[0][2] == 0.0
-        assert seq[1][0] == ex1d.mid
+        seq = tr.location_sequence()
+        assert seq[0] == (ex1d.right, "g0", 0.0)
+        assert seq[1][:2] == (ex1d.mid, "g0")
+        assert seq[1][2] == tr.events[0].time
+        assert len(seq) == 2
+
+    def test_location_sequence_under_callable_strategy(self, nav2d):
+        """The location sequence reports the controls a callable strategy
+        chose, which cannot be looked up by cell afterwards."""
+        chosen = []
+
+        def alternate(cell, n_events, rng):
+            ctrl = "firm" if n_events % 2 else "brake"
+            chosen.append((cell, ctrl))
+            return ctrl
+
+        tr = lg.simulate_closed_loop(nav2d.sys, alternate, nav2d.complex,
+                                     (2.0, 1.0), 6.0, 2e-3,
+                                     controls=nav2d.controls)
+        check_visits(tr)
+        seq = tr.location_sequence()
+        assert len(chosen) >= 3
+        assert [(cell, ctrl) for cell, ctrl, _ in seq] == chosen
+        assert [t for _, _, t in seq[1:]] == [e.time for e in tr.events]
+        assert {ctrl for _, ctrl, _ in seq} == {"brake", "firm"}
+
+    def test_location_sequence_ends_in_sink(self, ex1d):
+        kappa = {c: "g2x" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (0.5,),
+                                     10.0, 1e-3, controls=ex1d.controls)
+        check_visits(tr)
+        seq = tr.location_sequence()
+        assert [c for c, _, _ in seq] == [ex1d.mid, ex1d.right, "sink"]
+        assert seq[-1] == ("sink", None, tr.events[-1].time)
 
     def test_default_step(self, ex1d):
         h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
