@@ -42,11 +42,43 @@ def _checked_step(value, where):
     return value
 
 
+_SPEC_KEYS = ("state_dim", "input_dim", "domain", "dynamics", "controls",
+              "partitions", "grid", "seed")
+_DOMAIN_KEYS = ("lower", "upper")
+_GRID_KEYS = ("points_per_dim", "admissibility", "step")
+_PARTITION_KEYS = ("phi", "levels")
+_REMOVED_KEYS = ("grid.refine_iters", "grid.stability_check")
+
+
+def _check_spec_keys(raw, path):
+    """SpecFileError for the first key the spec does not define, at the top
+    level, in ``domain``, ``grid`` or a ``partitions`` entry, so that a
+    misspelled setting cannot silently fall back to its default."""
+    if not isinstance(raw, dict):
+        return
+    objects = [("", raw, _SPEC_KEYS), ("domain", raw.get("domain"), _DOMAIN_KEYS),
+               ("grid", raw.get("grid"), _GRID_KEYS)]
+    if isinstance(raw.get("partitions"), list):
+        objects += [("partitions[%d]" % i, part, _PARTITION_KEYS)
+                    for i, part in enumerate(raw["partitions"])]
+    for where, obj, allowed in objects:
+        for key in obj if isinstance(obj, dict) else ():
+            if key in allowed:
+                continue
+            name = where + "." + key if where else key
+            raise SpecFileError(
+                "invalid system spec %s: key '%s' %s; allowed keys%s: %s"
+                % (path, name,
+                   "was removed" if name in _REMOVED_KEYS else "is unknown",
+                   " in " + where if where else "", ", ".join(allowed)))
+
+
 class SystemSpec:
     """Parsed and validated system description."""
 
     def __init__(self, raw, path="<spec>"):
         self.path = path
+        _check_spec_keys(raw, path)
         try:
             self.n = int(raw["state_dim"])
             self.m = int(raw["input_dim"])

@@ -349,6 +349,8 @@ def eval_expression(e, x, u=()):
             return ev(node.left) / den
         if isinstance(node, Pow):
             base = ev(node.base)
+            if node.exponent == 2:
+                return base * base      # rounds as the compiled forms do
             try:
                 return float(base ** node.exponent)
             except OverflowError:
@@ -569,7 +571,12 @@ def _emit(e, funcs, xfmt, ufmt):
     if isinstance(e, Div):
         return "(%s / %s)" % (_emit(e.left, funcs, xfmt, ufmt), _emit(e.right, funcs, xfmt, ufmt))
     if isinstance(e, Pow):
-        return "(%s ** %d)" % (_emit(e.base, funcs, xfmt, ufmt), e.exponent)
+        base = _emit(e.base, funcs, xfmt, ufmt)
+        if e.exponent == 2:
+            # a product, which numpy's ``** 2`` also is; Python's float
+            # ``** 2`` calls libm pow, which can round the last bit apart
+            return "(%s * %s)" % (base, base)
+        return "(%s ** %d)" % (base, e.exponent)
     if isinstance(e, Call):
         return "%s(%s)" % (funcs[e.func], _emit(e.arg, funcs, xfmt, ufmt))
     raise TypeError("not an expression node: %r" % (e,))
@@ -605,7 +612,9 @@ def compile_field(exprs) -> Callable:
 def _rk4_body(exprs, pad):
     """Source lines of one classic RK4 step of length ``h`` from the local
     floats ``x0, x1, ...`` to ``n0, n1, ...``, in the textbook operation
-    order that ``compile_step`` documents."""
+    order that ``compile_step`` documents. The caller binds ``hh = 0.5 * h``
+    and ``s = h / 6.0``: ``0.5 * h * k`` parses as ``(0.5 * h) * k``, so the
+    stage points round as the textbook's do."""
     idx = range(len(exprs))
 
     def stage(k, at):
@@ -613,15 +622,14 @@ def _rk4_body(exprs, pad):
                                  _emit(e, _SCALAR_FUNCS, at + "%d", "u%d"))
                 for i, e in enumerate(exprs)]
 
-    def point(coef, k):
-        return ["%sy%d = x%d + %sh * %s%d" % (pad, i, i, coef, k, i)
+    def point(step, k):
+        return ["%sy%d = x%d + %s * %s%d" % (pad, i, i, step, k, i)
                 for i in idx]
 
-    lines = stage("a", "x") + point("0.5 * ", "a")
-    lines += stage("b", "y") + point("0.5 * ", "b")
-    lines += stage("c", "y") + point("", "c")
+    lines = stage("a", "x") + point("hh", "a")
+    lines += stage("b", "y") + point("hh", "b")
+    lines += stage("c", "y") + point("h", "c")
     lines += stage("d", "y")
-    lines.append("%ss = h / 6.0" % pad)
     lines += ["%sn%d = x%d + s * (a%d + 2.0 * b%d + 2.0 * c%d + d%d)"
               % ((pad,) + (i,) * 6) for i in idx]
     return lines
@@ -646,7 +654,8 @@ def compile_step(exprs) -> Callable:
     """
     xs = ", ".join("x%d" % i for i in range(len(exprs)))
     ns = ", ".join("n%d" % i for i in range(len(exprs)))
-    lines = ["def step(x, h):", "    %s, = x" % xs]
+    lines = ["def step(x, h):", "    %s, = x" % xs,
+             "    hh = 0.5 * h", "    s = h / 6.0"]
     lines += _rk4_body(exprs, "    ")
     lines.append("    return (%s,)" % ns)
     return _exec_def(lines, "step")
@@ -669,7 +678,9 @@ def compile_stay(field_exprs, phi_exprs) -> Callable:
     and the length of the last step taken.
 
     Bit-identity contract: every step is the step of ``compile_step``
-    (the same generated statements), and each phi is evaluated inline with
+    (the same generated statements; ``0.5 * h`` and ``h / 6.0`` are bound
+    once per stay, and again on each step the horizon shortens), and each
+    phi is evaluated inline with
     the operations of ``compile_scalar``, so the appended times and
     coordinates, and the returned values, are bit for bit those of a loop
     that calls ``compile_step`` and the compiled phis and checks the box and
@@ -692,10 +703,17 @@ def compile_stay(field_exprs, phi_exprs) -> Callable:
     lines += ["    append_t = times.append",
               "    append_c = coords.append",
               "    h = hmax",
+              "    hh_max = 0.5 * hmax",
+              "    s_max = hmax / 6.0",
               "    while t < t_stop:",
               "        h = horizon - t",
               "        if h > hmax:",
-              "            h = hmax"]
+              "            h = hmax",
+              "            hh = hh_max",
+              "            s = s_max",
+              "        else:",
+              "            hh = 0.5 * h",
+              "            s = h / 6.0"]
     lines += _rk4_body(field_exprs, "        ")
     lines += ["        if not (%s):" % " and ".join(
         "bl%d <= n%d <= bh%d" % (i, i, i) for i in idx), leave]

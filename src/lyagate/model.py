@@ -31,6 +31,8 @@ class Box:
 
     lower: tuple
     upper: tuple
+    _grids: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lower)
@@ -56,9 +58,17 @@ class Box:
                 for lo, hi in zip(self.lower, self.upper)]
 
     def grid(self, points_per_dim):
-        """All grid points as an (N, n) array, C-order over the mesh."""
-        mesh = np.meshgrid(*self.axes(points_per_dim), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All grid points as an (N, n) array, C-order over the mesh.
+
+        Built once per size and shared by every caller, so it is read-only.
+        """
+        pts = self._grids.get(points_per_dim)
+        if pts is None:
+            mesh = np.meshgrid(*self.axes(points_per_dim), indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            pts.flags.writeable = False
+            self._grids[points_per_dim] = pts
+        return pts
 
     def sample(self, rng, count):
         lo = np.asarray(self.lower)
@@ -305,10 +315,12 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
 
 def admissibility_map(sys, controls, families, grid=128):
     """Signs for every (family, slice, control); raises on the first violation."""
+    crits = [critical_points(sys, g, grid=min(grid, 64)) for g in controls]
     signs = {}
     for fam in families:
-        for g in controls:
-            for h, s in check_admissibility(sys, g, fam, grid=grid).items():
+        for g, crit in zip(controls, crits):
+            for h, s in check_admissibility(sys, g, fam, grid=grid,
+                                            crit=crit).items():
                 signs[(fam.index, h, g.name)] = s
     return signs
 
@@ -336,7 +348,9 @@ def _level_points(fam, level, box, grid, limit, tol):
 
     The ``limit`` grid points whose phi value lies closest to the level are
     projected together by Gauss-Newton, clipped to the box. A row stops once
-    its residual vanishes or its gradient degenerates, or after 40 steps.
+    its residual vanishes or its gradient degenerates, once a step leaves
+    its bits unchanged (a fixed point, so further steps would too), or after
+    40 steps.
     Rows whose final residual exceeds ``tol`` (relative to the level) are
     dropped; the rest come back in candidate order as a (k, n) array.
     """
@@ -363,7 +377,10 @@ def _level_points(fam, level, box, grid, limit, tol):
         g2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
         go = (np.abs(r) >= 1e-14 * scale) & (g2 >= 1e-30)
         rows = rows[go]
-        x[rows] = np.clip(xr[go] - r[go, None] * grad[go] / g2[go, None], lo, hi)
+        old = xr[go]
+        new = np.clip(old - r[go, None] * grad[go] / g2[go, None], lo, hi)
+        x[rows] = new
+        rows = rows[(new.view(np.uint64) != old.view(np.uint64)).any(axis=1)]
     return x[np.abs(phi_v(x) - level) <= tol * scale]
 
 

@@ -264,40 +264,66 @@ class LocateResult:
     boundary_families: tuple
 
 
-def _bisect_crossing(p, q, phi_fn, level, iters=60):
-    """Point on the segment [p, q] where phi crosses the level.
+def _bisect_crossings(p, q, phi_v, levels, iters=60):
+    """Points on the segments [p, q] where phi crosses each row's level.
 
-    p and q are sequences of floats; each probe is ``p_i + t * (q_i - p_i)``
-    per coordinate, and the result is a tuple of floats.
+    p and q are (k, n) arrays, ``levels`` a (k,) array and ``phi_v`` phi
+    compiled by ``expr.compile_vector``. Each row's probe is
+    ``p + t * (q - p)``, and the result is a (k, n) array.
 
-    The loop halves at most ``iters`` times and stops early once the
-    midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so the result
-    is the one the full count gives. ``stat_lo`` only takes the value of a
-    probe on the same side as ``phi(p) - level``, and ``hi`` only moves to a
-    probe on the other side. If ``mid == lo`` with ``lo > 0``, the probe
+    Each row halves [0, 1] at most ``iters`` times and stops early once its
+    midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so the row
+    ends where the full count ends it. ``stat_lo`` only takes the value of
+    a probe on the same side as ``phi(p) - level``, and ``hi`` only moves to
+    a probe on the other side. If ``mid == lo`` with ``lo > 0``, the probe
     repeats the one that set ``lo`` and ``stat_lo``, so it lands on the same
     side and changes nothing (``lo == 0`` cannot recur, as ``hi`` stays at or
     above 2**-iters). If ``mid == hi < 1``, the probe repeats the one that
     set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then
     ``lo == 1 - 2**-53`` and the probe may set ``lo`` to 1.0, but both before
     and after, ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later
-    midpoints, and the returned ``t = 0.5 * (lo + hi)``, stay the same.
+    midpoints, and the final ``t = 0.5 * (lo + hi)``, stay the same.
     """
-    dq = [b - a for a, b in zip(p, q)]
-    stat_lo = phi_fn(p) - level
-    lo, hi = 0.0, 1.0
+    d = q - p
+    stat_lo = phi_v(p) - levels
+    lo = np.zeros(len(p))
+    hi = np.ones(len(p))
+    rows = np.arange(len(p))
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        moving = (mid != lo[rows]) & (mid != hi[rows])
+        rows, mid = rows[moving], mid[moving]
+        if not len(rows):
             break
-        fm = phi_fn([a + mid * d for a, d in zip(p, dq)]) - level
-        if (fm > 0) == (stat_lo > 0):
-            lo = mid
-            stat_lo = fm
-        else:
-            hi = mid
+        fm = phi_v(p[rows] + mid[:, None] * d[rows]) - levels[rows]
+        same = (fm > 0) == (stat_lo[rows] > 0)
+        lo[rows[same]] = mid[same]
+        stat_lo[rows[same]] = fm[same]
+        hi[rows[~same]] = mid[~same]
     t = 0.5 * (lo + hi)
-    return tuple(a + t * d for a, d in zip(p, dq))
+    return p + t[:, None] * d
+
+
+def _level_edges(cell_index, ys):
+    """Grid edges whose end cells' band tuples differ by one in one family.
+
+    ``cell_index`` holds each grid point's cell and ``ys`` each cell's band
+    tuple as a row. Returns the flat grid indices of both ends of every such
+    edge, lower end first, as an (E, 2) array in axis order and in
+    ``np.argwhere`` order within an axis; and the number of the other edges
+    between different cells (corner edges), which are skipped.
+    """
+    flat = cell_index.ravel()
+    grid, n = cell_index.shape[0], cell_index.ndim
+    edges = []
+    for d in range(n):
+        diff = (cell_index.take(range(grid - 1), axis=d)
+                != cell_index.take(range(1, grid), axis=d))
+        lower = np.ravel_multi_index(np.argwhere(diff).T, cell_index.shape)
+        edges.append(np.stack([lower, lower + grid ** (n - 1 - d)], axis=1))
+    edges = np.concatenate(edges)
+    keep = np.abs(ys[flat[edges[:, 1]]] - ys[flat[edges[:, 0]]]).sum(axis=1) == 1
+    return edges[keep], int(len(keep) - keep.sum())
 
 
 def _build_raw(families, box, grid):
@@ -355,8 +381,6 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
     """
     families = list(families)
     pts, labels, phi_vals, cell_index, ordered = _build_raw(families, box, grid)
-    n = box.dim
-    shape = (grid,) * n
 
     if stability_check:
         fine = 2 * grid - 1
@@ -372,65 +396,49 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
                 "component counts changed between grid %d and %d: %s vs %s"
                 % (grid, fine, counts, counts_fine))
 
-    phi_fns = [ex.compile_scalar(f.phi) for f in families]
+    # adjacency from orthogonal grid edges crossing exactly one level, per
+    # cell pair in pair order; the sort is stable, so each pair's edges stay
+    # in scan order, from which MAX_FACET_POINTS are picked evenly
+    ys = np.array([y for y, _, _ in ordered], dtype=np.int64)
+    edges, skipped = _level_edges(cell_index, ys)
+    pair = np.sort(cell_index.ravel()[edges], axis=1)
+    order = np.lexsort((pair[:, 1], pair[:, 0]))
+    starts = np.flatnonzero(
+        np.diff(pair[order], axis=0, prepend=-1).any(axis=1))
+    pairs = []      # (ia, ib, family position, level, lower index, count, picked)
+    for start, count in zip(starts.tolist(),
+                            np.diff(starts, append=len(order)).tolist()):
+        ia, ib = pair[order[start]].tolist()
+        ya, yb = ordered[ia][0], ordered[ib][0]
+        fam_pos = next(i for i in range(len(ya)) if ya[i] != yb[i])
+        level = families[fam_pos].levels[max(ya[fam_pos], yb[fam_pos]) - 1]
+        lower_idx = ia if yb[fam_pos] > ya[fam_pos] else ib
+        picked = order[start + np.linspace(
+            0, count - 1, num=min(MAX_FACET_POINTS, count), dtype=int)]
+        pairs.append((ia, ib, fam_pos, level, lower_idx, count, picked))
 
-    # adjacency from orthogonal grid edges crossing exactly one level
-    flat = cell_index.ravel()
-    raw_edges = {}
-    skipped = 0
-    for d in range(n):
-        idx_a = cell_index.take(range(grid - 1), axis=d)
-        idx_b = cell_index.take(range(1, grid), axis=d)
-        diff = idx_a != idx_b
-        if not diff.any():
+    # the picked edges of each family are bisected in one batch
+    facets = {}
+    for fam_pos, fam in enumerate(families):
+        mine = [(ia, ib, level, picked)
+                for ia, ib, pos, level, _, _, picked in pairs if pos == fam_pos]
+        if not mine:
             continue
-        a_flat = idx_a[diff]
-        b_flat = idx_b[diff]
-        # recover grid coordinates of the lower endpoint of each edge
-        coords = np.argwhere(diff)
-        coords_full = coords.copy()
-        for (ai, bi, coord) in zip(a_flat, b_flat, coords_full):
-            ya = ordered[ai][0]
-            yb = ordered[bi][0]
-            deltas = [(i, yb[i] - ya[i]) for i in range(len(ya)) if ya[i] != yb[i]]
-            if len(deltas) != 1 or abs(deltas[0][1]) != 1:
-                skipped += 1
-                continue
-            fam_pos, step = deltas[0]
-            coord_b = coord.copy()
-            coord_b[d] += 1
-            key = (min(ai, bi), max(ai, bi))
-            raw_edges.setdefault(key, []).append(
-                (fam_pos, step if ai == key[0] else -step,
-                 tuple(coord), tuple(coord_b)))
+        ends = edges[np.concatenate([picked for *_, picked in mine])]
+        found = _bisect_crossings(
+            pts[ends[:, 0]], pts[ends[:, 1]], ex.compile_vector(fam.phi),
+            np.repeat([level for _, _, level, _ in mine],
+                      [len(picked) for *_, picked in mine]))
+        found = map(tuple, found.tolist())
+        for ia, ib, _, picked in mine:
+            facets[ia, ib] = tuple(itertools.islice(found, len(picked)))
 
-    axes = box.axes(grid)
-
-    def point_of(coord):
-        return [float(axes[i][coord[i]]) for i in range(n)]
-
-    adjacency = []
-    for (ia, ib), edges in sorted(raw_edges.items()):
-        fam_pos = edges[0][0]
-        fam = families[fam_pos]
-        ya = ordered[ia][0]
-        yb = ordered[ib][0]
-        step_ab = yb[fam_pos] - ya[fam_pos]
-        lower_idx = ia if step_ab > 0 else ib
-        level = fam.levels[max(ya[fam_pos], yb[fam_pos]) - 1]
-        sel = np.linspace(0, len(edges) - 1,
-                          num=min(MAX_FACET_POINTS, len(edges)), dtype=int)
-        facet_pts = []
-        for si in sel:
-            _, _, ca, cb = edges[si]
-            facet_pts.append(_bisect_crossing(point_of(ca), point_of(cb),
-                                              phi_fns[fam_pos], level))
-        a_id = _cell_id(*ordered[ia][:2])
-        b_id = _cell_id(*ordered[ib][:2])
-        adjacency.append(Adjacency(
-            a=a_id, b=b_id, family=fam.index, level=float(level),
-            lower=_cell_id(*ordered[lower_idx][:2]),
-            facet_points=tuple(facet_pts), edge_count=len(edges)))
+    adjacency = [
+        Adjacency(a=_cell_id(*ordered[ia][:2]), b=_cell_id(*ordered[ib][:2]),
+                  family=families[fam_pos].index, level=float(level),
+                  lower=_cell_id(*ordered[lower_idx][:2]),
+                  facet_points=facets[ia, ib], edge_count=count)
+        for ia, ib, fam_pos, level, lower_idx, count, _ in pairs]
 
     # facet points sharpen the per-cell bounding boxes up to the true levels
     extra_pts = {}
@@ -458,7 +466,7 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
 
     diagnostics = {"skipped_corner_edges": skipped}
     return CellComplex(families, box, grid, cells, adjacency, diagnostics,
-                       axes, cell_index.ravel())
+                       box.axes(grid), cell_index.ravel())
 
 
 def _grid_distance(columns, x):

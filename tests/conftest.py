@@ -193,7 +193,8 @@ def _reference_locate(x, complex, eps_face=1e-9):
 
 def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
     """Level crossing on [p, q] over numpy 2-vectors, the reference for
-    `partition._bisect_crossing`."""
+    `partition._bisect_crossings`: the full 60 halvings, phi compiled by
+    `expr.compile_scalar`."""
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
     stat_lo = phi_fn(tuple(p)) - level
@@ -209,6 +210,74 @@ def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
             hi = mid
     t = 0.5 * (lo + hi)
     return tuple(float(v) for v in p + t * (q - p))
+
+
+def _reference_level_edges(cell_index, ys):
+    """The per-edge Python scan of `partition.build_cells` as first written,
+    the reference for `partition._level_edges`. ``ys`` holds each cell's band
+    tuple. Returns, per cell pair (smaller index first), its edges as
+    (lower end, upper end) grid coordinates in scan order, and the number of
+    skipped corner edges."""
+    grid = cell_index.shape[0]
+    raw_edges = {}
+    skipped = 0
+    for d in range(cell_index.ndim):
+        idx_a = cell_index.take(range(grid - 1), axis=d)
+        idx_b = cell_index.take(range(1, grid), axis=d)
+        diff = idx_a != idx_b
+        for ai, bi, coord in zip(idx_a[diff], idx_b[diff], np.argwhere(diff)):
+            ya, yb = ys[ai], ys[bi]
+            deltas = [(i, yb[i] - ya[i]) for i in range(len(ya))
+                      if ya[i] != yb[i]]
+            if len(deltas) != 1 or abs(deltas[0][1]) != 1:
+                skipped += 1
+                continue
+            coord_b = coord.copy()
+            coord_b[d] += 1
+            raw_edges.setdefault((min(ai, bi), max(ai, bi)), []).append(
+                (tuple(coord.tolist()), tuple(coord_b.tolist())))
+    return raw_edges, skipped
+
+
+def _reference_level_points(fam, level, box, grid, limit, tol):
+    """`model._level_points` before rows stopped at a fixed point, its
+    reference: every row takes Gauss-Newton steps until its residual
+    vanishes or its gradient degenerates, or for 40 steps."""
+    phi_v = ex.compile_vector(fam.phi)
+    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    pts = box.grid(grid)
+    vals = phi_v(pts)
+    span = float(vals.max() - vals.min())
+    near = np.abs(vals - level)
+    cand = np.flatnonzero(near <= 4.0 * span / grid + 1e-12)
+    cand = cand[np.argsort(near[cand], kind="stable")][:limit]
+    x = pts[cand]
+    lo = np.asarray(box.lower)
+    hi = np.asarray(box.upper)
+    scale = max(1.0, abs(level))
+    rows = np.arange(len(x))
+    for _ in range(40):
+        if not len(rows):
+            break
+        xr = x[rows]
+        r = phi_v(xr) - level
+        grad = np.stack([gv(xr) for gv in grad_vs], axis=1)
+        g2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
+        go = (np.abs(r) >= 1e-14 * scale) & (g2 >= 1e-30)
+        rows = rows[go]
+        x[rows] = np.clip(xr[go] - r[go, None] * grad[go] / g2[go, None],
+                          lo, hi)
+    return x[np.abs(phi_v(x) - level) <= tol * scale]
+
+
+@pytest.fixture(scope="session")
+def reference_level_edges():
+    return _reference_level_edges
+
+
+@pytest.fixture(scope="session")
+def reference_level_points():
+    return _reference_level_points
 
 
 @pytest.fixture(scope="session")

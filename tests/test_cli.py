@@ -265,6 +265,40 @@ class TestBadPoint:
         assert message in capsys.readouterr().err
 
 
+class TestSpecKeys:
+    """A key the spec does not define is bad input (exit 1), named with its
+    path and the keys allowed there; before, it was ignored, so a misspelled
+    setting silently took its default."""
+
+    @pytest.mark.parametrize("where,key,message,allowed", [
+        ("grid", "point_per_dim", "key 'grid.point_per_dim' is unknown",
+         "allowed keys in grid: points_per_dim, admissibility, step"),
+        ("grid", "refine_iters", "key 'grid.refine_iters' was removed",
+         "allowed keys in grid: points_per_dim, admissibility, step"),
+        ("grid", "stability_check", "key 'grid.stability_check' was removed",
+         "allowed keys in grid:"),
+        ("domain", "uper", "key 'domain.uper' is unknown",
+         "allowed keys in domain: lower, upper"),
+        ("partitions", "level", "key 'partitions[0].level' is unknown",
+         "allowed keys in partitions[0]: phi, levels"),
+        (None, "sead", "key 'sead' is unknown", "allowed keys: state_dim,"),
+    ])
+    def test_exits_1(self, tmp_path, capsys, where, key, message, allowed):
+        spec = json.loads(open(SPEC_1D).read())
+        if where is None:
+            spec[key] = 8
+        elif where == "partitions":
+            spec[where][0][key] = 8
+        else:
+            spec[where][key] = 8
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(spec))
+        assert run("abstract", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert message in err and allowed in err
+        assert not (tmp_path / "automaton.json").exists()
+
+
 class TestExport:
     def test_dot(self, tmp_path):
         assert run("export", SPEC_1D, "--out", str(tmp_path)) == 0

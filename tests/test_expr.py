@@ -371,3 +371,60 @@ def test_compile_stay_bit_identical_to_reference_loop(reference_stay, case):
     reference = _stay_outcome(
         lambda *a: reference_stay(fields, phis, *a), phis, args)
     assert kernel == reference
+
+
+# -- scalar and vector code agree ------------------------------------------
+
+def _arith_expr():
+    """``+ - * /``, unary minus and ``^`` trees over x1 and x2. Exponents
+    stop at 2: above that, Python floats call libm pow and numpy arrays its
+    own power, which round the last bit apart on some inputs."""
+    leaf = st.one_of(
+        st.sampled_from([ex.Var("x1"), ex.Var("x2")]),
+        st.floats(min_value=-3.0, max_value=3.0, allow_nan=False).map(ex.Const),
+    )
+
+    def branch(children):
+        pair = st.tuples(children, children)
+        return st.one_of(
+            pair.map(lambda ab: ex.Add(*ab)),
+            pair.map(lambda ab: ex.Sub(*ab)),
+            pair.map(lambda ab: ex.Mul(*ab)),
+            pair.map(lambda ab: ex.Div(*ab)),
+            children.map(ex.Neg),
+            st.tuples(children, st.integers(0, 2)).map(lambda bk: ex.Pow(*bk)),
+        )
+
+    return st.recursive(leaf, branch, max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@example(ex.Pow(ex.Var("x1"), 2), 1)    # libm pow rounds one of these apart
+@example(ex.parse_expression("1.5*x1^2 + x1*x2 + 0.5*x2^2", 2, 0), 0)
+@given(_arith_expr(), st.integers(0, 2 ** 32 - 1))
+def test_scalar_and_vector_code_agree_bit_for_bit(e, seed):
+    """compile_scalar, compile_vector and the phi check of compile_stay give
+    the same bits at 256 random points. The stay takes one step of a zero
+    field, which leaves the point as it is, against the band [v, v] of the
+    vector value v: it accepts the step exactly when its phi equals v."""
+    import numpy as np
+    pts = np.random.default_rng(seed).uniform(-3.0, 3.0, (256, 2))
+    try:
+        with np.errstate(all="ignore"):
+            vec = ex.compile_vector(e)(pts).tolist()
+    except ZeroDivisionError:
+        return              # a constant subtree divides by zero
+    scalar = ex.compile_scalar(e)
+    stay = ex.compile_stay((ex.Const(0.0), ex.Const(0.0)), (e,))
+    box = ((-math.inf, math.inf),) * 2
+    for x, v in zip(pts.tolist(), vec):
+        try:
+            s = scalar(x)
+            accepted = stay(x, 0.0, 0.5, 1.0, 1.0, box, ((v, v),),
+                            [], [])[2] is None
+        except ZeroDivisionError:
+            continue        # numpy gives inf or nan where Python raises
+        # compile_vector adds 0.0 * x1 to broadcast; it can only turn a
+        # -0.0 into 0.0, so the scalar value gets the same addition
+        assert _bits(s + 0.0 * x[0]) == _bits(v)
+        assert accepted == (not math.isnan(v))

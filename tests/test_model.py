@@ -7,6 +7,7 @@ import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
+from lyagate import model as md
 from lyagate.errors import AdmissibilityError, DegenerateLevelError, ModelError
 
 
@@ -89,6 +90,27 @@ class TestAdmissibility:
             assert np.all(np.sign(vals) == sgn)
 
 
+    def test_map_finds_critical_points_once_per_control(self, nav2d,
+                                                        monkeypatch):
+        calls = []
+        real = md.critical_points
+
+        def counting(sys, g, *args, **kwargs):
+            calls.append(g.name)
+            return real(sys, g, *args, **kwargs)
+
+        monkeypatch.setattr(md, "critical_points", counting)
+        signs = lg.admissibility_map(nav2d.sys, nav2d.controls,
+                                     nav2d.families, grid=48)
+        assert calls == [g.name for g in nav2d.controls]
+        calls.clear()
+        assert signs == {(f.index, h, g.name): s
+                         for f in nav2d.families for g in nav2d.controls
+                         for h, s in lg.check_admissibility(
+                             nav2d.sys, g, f, grid=48).items()}
+        assert len(calls) == len(nav2d.families) * len(nav2d.controls)
+
+
 class TestValidateLevels:
     def test_regular_levels(self, ex1d):
         rep = lg.validate_levels(ex1d.fam, ex1d.box)
@@ -112,6 +134,39 @@ class TestValidateLevels:
             levels=(0.0, 4.0))
         rep = lg.validate_levels(fam, box)
         assert rep.min_grad[4.0] == pytest.approx(4.0, abs=1e-6)
+
+
+    @pytest.mark.parametrize("grid", [64, 96])
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    def test_level_points_match_reference(self, request, scenario, grid,
+                                          reference_level_points):
+        """Rows that stop at a fixed point end where the full loop ends."""
+        sc = request.getfixturevalue(scenario)
+        for fam in sc.families:
+            for level in fam.levels:
+                for limit, tol in ((512, 1e-7), (256, 1e-9)):
+                    got = md._level_points(fam, level, sc.box, grid, limit, tol)
+                    want = reference_level_points(fam, level, sc.box, grid,
+                                                  limit, tol)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+
+class TestBox:
+    def test_grid_is_built_once_and_read_only(self):
+        box = lg.Box((-1.0, 0.0), (1.0, 2.0))
+        pts = box.grid(5)
+        assert box.grid(5) is pts
+        assert box.grid(6) is not pts and len(box.grid(6)) == 36
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 7.0
+        assert pts[0].tolist() == [-1.0, 0.0]
+        # equal boxes stay equal, and each keeps its own grids
+        other = lg.Box((-1.0, 0.0), (1.0, 2.0))
+        assert other == box and hash(other) == hash(box)
+        assert other.grid(5) is not pts
+        assert other.grid(5).tobytes() == pts.tobytes()
 
 
 class TestCriticalPoints:

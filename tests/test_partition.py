@@ -1,5 +1,7 @@
 """Slices, cells, adjacency, and point location."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,20 @@ def _outcome(fn, *args):
         return type(err)
 
 
+@pytest.fixture(scope="module")
+def corners():
+    """Two crossing families, one with a band thinner than the grid step, so
+    that many grid edges change two bands at once and are skipped."""
+    box = lg.Box((-3.0, -3.0), (3.0, 3.0))
+    fams = [lg.PartitioningFamily(1, ex.parse_expression("x1 + x2", 2, 0),
+                                  (-6.0, 0.0, 0.05, 6.0)),
+            lg.PartitioningFamily(2, ex.parse_expression("x1 - 0.5*x2", 2, 0),
+                                  (-4.5, 0.3, 4.5))]
+    cx = lg.build_cells(fams, box, grid=32, stability_check=False)
+    assert cx.diagnostics["skipped_corner_edges"] > 0 and cx.adjacency
+    return types.SimpleNamespace(complex=cx)
+
+
 class TestLocateReference:
     """locate() and the facet bisection give exactly what the reference
     implementations in conftest.py give."""
@@ -164,26 +180,51 @@ class TestLocateReference:
             shared += isinstance(got, tuple) and len(got[1]) > 1
         assert shared > 0      # the distance comparison ran
 
-    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d", "corners"])
+    def test_edge_scan_matches_reference(self, request, scenario,
+                                         reference_level_edges):
+        cx = request.getfixturevalue(scenario).complex
+        shape = (cx.grid,) * cx.box.dim
+        cell_index = cx._cell_index_flat.reshape(shape)
+        ys = [c.y for c in cx.cells]
+        ref, ref_skipped = reference_level_edges(cell_index, ys)
+        edges, skipped = pt._level_edges(cell_index, np.array(ys))
+        got = {}
+        for lo, hi in edges.tolist():
+            a, b = cx._cell_index_flat[lo], cx._cell_index_flat[hi]
+            got.setdefault((min(a, b), max(a, b)), []).append(
+                (np.unravel_index(lo, shape), np.unravel_index(hi, shape)))
+        assert got == ref           # the same edges per pair, in scan order
+        assert skipped == ref_skipped == cx.diagnostics["skipped_corner_edges"]
+        assert [(adj.a, adj.b, adj.edge_count) for adj in cx.adjacency] == [
+            (cx.cells[a].id, cx.cells[b].id, len(e))
+            for (a, b), e in sorted(ref.items())]
+
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d", "corners"])
     def test_facet_points_match_reference_bisection(
-            self, request, scenario, monkeypatch, reference_bisect_crossing):
-        sc = request.getfixturevalue(scenario)
-        calls = []
-        real = pt._bisect_crossing
-
-        def recording(p, q, phi_fn, level, iters=60):
-            out = real(p, q, phi_fn, level, iters)
-            calls.append((p, q, phi_fn, level, out))
-            return out
-
-        monkeypatch.setattr(pt, "_bisect_crossing", recording)
-        cx = lg.build_cells(sc.families, sc.box, grid=sc.complex.grid,
-                            stability_check=False)
-        assert [c[-1] for c in calls] == [
-            p for adj in cx.adjacency for p in adj.facet_points]
-        for p, q, phi_fn, level, out in calls:
-            ref = reference_bisect_crossing(p, q, phi_fn, level)
-            assert [v.hex() for v in out] == [v.hex() for v in ref]
+            self, request, scenario, reference_level_edges,
+            reference_bisect_crossing):
+        """Each adjacency's facet points are the reference bisections of its
+        evenly picked reference edges, bit for bit."""
+        cx = request.getfixturevalue(scenario).complex
+        cell_index = cx._cell_index_flat.reshape((cx.grid,) * cx.box.dim)
+        ref, _ = reference_level_edges(cell_index, [c.y for c in cx.cells])
+        axes = cx.box.axes(cx.grid)
+        phis = {f.index: ex.compile_scalar(f.phi) for f in cx.families}
+        checked = 0
+        for adj, ((a, b), edges) in zip(cx.adjacency, sorted(ref.items())):
+            assert (adj.a, adj.b) == (cx.cells[a].id, cx.cells[b].id)
+            sel = np.linspace(0, len(edges) - 1, dtype=int,
+                              num=min(pt.MAX_FACET_POINTS, len(edges)))
+            assert len(adj.facet_points) == len(sel)
+            for si, got in zip(sel, adj.facet_points):
+                p, q = ([float(axes[i][c]) for i, c in enumerate(end)]
+                        for end in edges[si])
+                want = reference_bisect_crossing(p, q, phis[adj.family],
+                                                 adj.level)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+                checked += 1
+        assert checked == sum(len(a.facet_points) for a in cx.adjacency) > 0
 
 
 class TestSampling:
