@@ -34,9 +34,7 @@ from .game import (
     GameObjective, SynthesisResult, synthesize, synthesize_safety,
     synthesize_reach, restrict, reach_locations,
 )
-from .sim import (
-    Trajectory, HybridTrace, integrate, simulate_closed_loop, default_step,
-)
+from .sim import Trajectory, HybridTrace, simulate_closed_loop, default_step
 from .conformance import (
     SoundnessReport, check_sandwich, check_dwell, check_sound,
 )

@@ -116,14 +116,13 @@ class CellComplex:
     """The finite partition: cells, adjacency, and point-location support."""
 
     def __init__(self, families, box, grid, cells, adjacency, diagnostics,
-                 axes, cell_index_flat):
+                 cell_index_flat):
         self.families = list(families)
         self.box = box
         self.grid = grid
         self.cells = list(cells)
         self.adjacency = list(adjacency)
         self.diagnostics = diagnostics
-        self._axes = axes
         self._cell_index_flat = cell_index_flat
         self._by_id = {c.id: c for c in self.cells}
         # point-location tables: per family (index, phi, levels, band count),
@@ -466,7 +465,7 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
 
     diagnostics = {"skipped_corner_edges": skipped}
     return CellComplex(families, box, grid, cells, adjacency, diagnostics,
-                       box.axes(grid), cell_index.ravel())
+                       cell_index.ravel())
 
 
 def _grid_distance(columns, x):

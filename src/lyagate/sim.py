@@ -53,6 +53,9 @@ from .partition import CellComplex
 
 EVENT_TIME_TOL = 1e-10
 _EVENT_NUDGE = 1e-9      # fraction of a step used to probe the far side
+CHATTER_LIMIT = 10       # more events than this in as many steps is chattering
+STEP_GRID = 32           # points per axis of the grid default_step reads
+STEP_FRACTION = 1e-2     # of the fastest band traversal, per step
 
 
 @dataclass
@@ -150,46 +153,19 @@ def _advance(step, x, h, t):
         raise EvalDomainError("math domain error", x, ()) from err
 
 
-def integrate(sys, g, x0, horizon, h):
-    """Fixed-step RK4 under one control; stops at the horizon or domain exit."""
-    if h <= 0:
-        raise ValueError("step must be positive")
-    step_fn = ex.compile_step(sys.closed_loop(g))
-    x = tuple(float(v) for v in x0)
-    if not sys.domain.contains(x, tol=1e-12):
-        raise NonFiniteStateError("x0 %s outside the domain" % (x,))
-    times = [0.0]
-    states = [x]
-    t = 0.0
-    exited = False
-    while t < horizon - 1e-15:
-        step = min(h, horizon - t)
-        xn = _advance(step_fn, x, step, t)
-        if not all(isfinite(v) for v in xn):
-            raise NonFiniteStateError("non-finite state at t=%g" % (t + step))
-        t += step
-        x = xn
-        times.append(t)
-        states.append(x)
-        if not sys.domain.contains(x, tol=1e-9):
-            exited = True
-            break
-    return Trajectory(times=np.array(times), states=np.array(states),
-                      step=h, exited=exited)
-
-
-def default_step(sys, controls, families, grid=32, fraction=1e-2):
-    """RK4 step: ``fraction`` of the fastest band traversal seen on the grid.
+def default_step(sys, controls, families):
+    """RK4 step: ``STEP_FRACTION`` of the fastest band traversal on the grid.
 
     For every (family, band, control) the band's gap divided by the largest
-    ``|L_g phi|`` over the grid points inside the band is a lower estimate
-    of the time the closed loop needs to cross that band (the abstraction's
-    own ``t_lo``). The step is ``fraction`` times the smallest of these, so
-    every band gets at least about ``1 / fraction`` steps. A band with no
-    grid point in it does not count; ``simulate_closed_loop`` measures the
-    error this step causes on every trace (``HybridTrace.step_error``).
+    ``|L_g phi|`` over the ``STEP_GRID`` points inside the band is a lower
+    estimate of the time the closed loop needs to cross that band (the
+    abstraction's own ``t_lo``). The step is ``STEP_FRACTION`` times the
+    smallest of these, so every band gets at least about
+    ``1 / STEP_FRACTION`` steps. A band with no grid point in it does not
+    count; ``simulate_closed_loop`` measures the error this step causes on
+    every trace (``HybridTrace.step_error``).
     """
-    pts = sys.domain.grid(grid)
+    pts = sys.domain.grid(STEP_GRID)
     fastest = float("inf")
     for fam in families:
         masks = md._band_masks(fam, ex.compile_vector(fam.phi)(pts))
@@ -202,15 +178,15 @@ def default_step(sys, controls, families, grid=32, fraction=1e-2):
                     fastest = min(fastest, (hi - lo) / vmax)
     if not isfinite(fastest):
         raise ModelError("no control moves phi across a band on the %d-point "
-                         "grid; give the step explicitly" % grid)
-    return fraction * fastest
+                         "grid; give the step explicitly" % STEP_GRID)
+    return STEP_FRACTION * fastest
 
 
 def _as_chooser(strategy):
     if callable(strategy):
         return strategy
     if isinstance(strategy, Mapping):
-        def chooser(cell_id, n_events, rng):
+        def chooser(cell_id, n_events):
             if cell_id not in strategy:
                 raise StrategyError("strategy misses cell %s" % cell_id)
             return strategy[cell_id]
@@ -219,12 +195,12 @@ def _as_chooser(strategy):
 
 
 def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
-                         controls, rng=None, chatter_limit=10):
+                         controls):
     """Integrate dx/dt = f(x, g(x)) with g chosen per cell by the strategy.
 
     ``strategy`` is either a mapping cell id -> control name or a callable
-    (cell id, event count, rng) -> control name (used for randomized
-    switching experiments). Returns a HybridTrace whose visits record the
+    (cell id, event count) -> control name (used for randomized switching
+    experiments). Returns a HybridTrace whose visits record the
     (cell, control) locations the trace entered, whose events carry the
     crossed family, level, and both cells, and whose ``step_error`` holds
     the largest event-time error estimate (see ``_step_error``).
@@ -252,7 +228,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
 
     def enter(cell):
         """Choose the control for ``cell``; its visit opens at the last sample."""
-        ctrl = chooser(cell, len(events), rng)
+        ctrl = chooser(cell, len(events))
         if ctrl not in steppers:
             raise StrategyError("unknown control '%s'" % ctrl)
         visits.append((cell, ctrl, len(times) - 1))
@@ -335,11 +311,11 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         t_event = t + tau
 
         recent.append(t_event)
-        recent = [te for te in recent if te > t_event - chatter_limit * h]
-        if len(recent) > chatter_limit:
+        recent = [te for te in recent if te > t_event - CHATTER_LIMIT * h]
+        if len(recent) > CHATTER_LIMIT:
             raise ChatteringError(
                 "%d events within %g time units at t=%g"
-                % (len(recent), chatter_limit * h, t_event))
+                % (len(recent), CHATTER_LIMIT * h, t_event))
 
         # a box face, or a level with no cell on the other side, is a sink
         partners = ([] if family is None

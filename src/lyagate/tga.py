@@ -114,7 +114,8 @@ class TimedGameAutomaton:
     def outgoing(self, name):
         return self._by_source.get(name, [])
 
-    def location_name(self, cell, control):
+    @staticmethod
+    def location_name(cell, control):
         return "(%s,%s)" % (cell, control)
 
     def non_sink_locations(self):
@@ -335,8 +336,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
     sink = Location(name="sink", cell=None, control=None, is_sink=True)
     locations[sink.name] = sink
 
-    def loc_name(zid, gname):
-        return "(%s,%s)" % (zid, gname)
+    loc_name = TimedGameAutomaton.location_name
 
     for z in zones:
         for g in controls:

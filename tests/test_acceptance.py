@@ -95,7 +95,7 @@ def test_acceptance_4_sandwich(ex1d):
     rng = np.random.default_rng(77)
     names = [g.name for g in ex1d.controls]
 
-    def random_control(cell_id, n_events, _rng):
+    def random_control(cell_id, n_events):
         return names[int(rng.integers(len(names)))]
 
     runs, worst_tangency = 0, 0.0

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import lyagate as lg
-from lyagate import expr as ex
 from lyagate.bounds import ROUND_OUT
 from lyagate.errors import EmptySliceError
 
@@ -84,44 +83,51 @@ class TestTimingBounds:
         assert d["f1.s1.g0"]["t_hi"] == "inf"
 
 
+def crossing_time(trace, family, level):
+    """Time of the trace's first crossing of ``level`` of ``family``."""
+    times = [e.time for e in trace.events
+             if (e.family, e.level) == (family, level)]
+    assert times, "trajectory never left the band"
+    return times[0]
+
+
 class TestDwellContainment:
     def test_boundary_to_boundary_traversals(self, ex1d):
         """Trajectories entered at one boundary exit the band inside the window."""
-        from lyagate.sim import integrate
         from lyagate.conformance import epsilon_t
         h = 5e-4
         eps = epsilon_t(h)
         rng = np.random.default_rng(11)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         checked = 0
         for _ in range(100):
             # enter the outer band at phi = 9 under g0: dwell until phi = 1
             x0 = 3.0 if rng.random() < 0.5 else -3.0
-            tr = integrate(ex1d.sys, ex1d.g0, (x0 * (1 - 1e-12),), 4.0, h)
-            phis = tr.states[:, 0] ** 2
-            below = np.flatnonzero(phis <= 1.0)
-            t_exit = float(tr.times[below[0]])
+            tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex,
+                                         (x0 * (1 - 1e-12),), 4.0, h,
+                                         controls=ex1d.controls)
+            t_exit = crossing_time(tr, 1, 1.0)
+            # x(t) = x0 e^-t reaches phi = 1 at t = ln |x0|
+            assert t_exit == pytest.approx(math.log(3.0), abs=1e-9)
             tb = ex1d.bounds.timing(1, 2, "g0")
             assert tb.t_lo - eps <= t_exit <= tb.t_hi + eps
             checked += 1
         assert checked == 100
 
     def test_2d_traversal_windows(self, nav2d):
-        """Entry states on phi1 = 9, integrate to phi1 = 5, per control."""
-        from lyagate.sim import integrate
+        """Entry states on phi1 = 9, simulate to phi1 = 5, per control."""
         from lyagate.conformance import epsilon_t
         from lyagate.model import sample_level_set
         h = 1e-3
         eps = epsilon_t(h)
         entries = sample_level_set(nav2d.fam1, 9.0, nav2d.box, grid=48)
-        phi = ex.compile_scalar(nav2d.fam1.phi)
         inward = [p for p in entries if nav2d.box.contains(p, tol=-1e-6)]
         assert len(inward) >= 20
         for g in nav2d.controls:
             tb = nav2d.bounds.timing(1, 4, g.name)
+            kappa = {c: g.name for c in nav2d.complex.cell_ids()}
             for p in inward[:20]:
-                tr = integrate(nav2d.sys, g, p, 3.0, h)
-                phis = np.array([phi(tuple(s)) for s in tr.states])
-                below = np.flatnonzero(phis <= 5.0)
-                assert below.size, "trajectory never left the band"
-                t_exit = float(tr.times[below[0]])
+                tr = lg.simulate_closed_loop(nav2d.sys, kappa, nav2d.complex,
+                                             p, 3.0, h, controls=nav2d.controls)
+                t_exit = crossing_time(tr, 1, 5.0)
                 assert tb.t_lo - eps <= t_exit <= tb.t_hi + eps

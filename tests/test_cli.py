@@ -63,6 +63,19 @@ class TestAbstract:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+    def test_unresolved_band_exits_1(self, tmp_path, capsys):
+        """The band (-0.01, 0.01] of phi = x1 holds a point of the doubled
+        grid but none of the 64-point grid: a refusal (exit 1), not an
+        internal error (exit 3)."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["partitions"] = [{"phi": "x1",
+                               "levels": [-3.0, -0.01, 0.01, 3.0]}]
+        path = tmp_path / "unresolved.json"
+        path.write_text(json.dumps(spec))
+        assert run("abstract", str(path), "--out", str(tmp_path)) == 1
+        assert "component counts changed" in capsys.readouterr().err
+
+
 class TestSynthesize:
     def test_reach_by_label(self, tmp_path, capsys):
         assert run("synthesize", SPEC_1D, "--reach", "[-1,1]",

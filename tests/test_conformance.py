@@ -58,7 +58,7 @@ class TestSandwich:
         """Random admissible switching at every entry keeps the bracketing."""
         rng = np.random.default_rng(17)
 
-        def random_control(cell_id, n_events, _rng):
+        def random_control(cell_id, n_events):
             return "g0" if rng.random() < 0.5 else "g2x"
 
         for k in range(10):

@@ -35,15 +35,16 @@ class TestLieDerivative:
 
     def test_matches_flow_derivative(self, ex1d):
         """d/dt phi(x(t)) along short RK4 arcs vs the symbolic value."""
-        from lyagate.sim import integrate
         rng = np.random.default_rng(3)
         ld = lg.lie_derivative(ex1d.sys, ex1d.g0, ex1d.fam).function()
         phi = ex.compile_scalar(ex1d.fam.phi)
+        step = ex.compile_step(ex1d.sys.closed_loop(ex1d.g0))
         for _ in range(50):
-            x0 = float(rng.uniform(-2.9, 2.9))
-            tr = integrate(ex1d.sys, ex1d.g0, (x0,), 2e-4, 1e-4)
-            fd = (phi(tr.states[2]) - phi(tr.states[0])) / (2e-4)
-            assert ld(tr.states[1]) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+            x0 = (float(rng.uniform(-2.9, 2.9)),)
+            x1 = step(x0, 1e-4)
+            x2 = step(x1, 1e-4)
+            fd = (phi(x2) - phi(x0)) / (2e-4)
+            assert ld(x1) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 class TestAdmissibility:

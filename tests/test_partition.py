@@ -9,7 +9,9 @@ import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate import partition as pt
-from lyagate.errors import CoverageError, LyagateError, OutOfDomainError
+from lyagate.errors import (
+    CoverageError, LyagateError, OutOfDomainError, ResolutionError,
+)
 
 
 class TestBuildSlices:
@@ -244,6 +246,20 @@ class TestLevelTouch:
     def test_interior_band_does_not_touch_far_level(self, nav2d):
         goal = nav2d.goal[0]
         assert not nav2d.complex.cell_touches_level(goal, 2, 1.0)
+
+
+class TestResolution:
+    def test_band_between_coarse_points_refused(self, ex1d):
+        """The band (-0.01, 0.01] holds no point of the 64-point grid (its
+        nearest points are +-3/63) but holds the doubled grid's point 0."""
+        fam = lg.PartitioningFamily(
+            index=1, phi=ex.parse_expression("x1", 1, 0),
+            levels=(-3.0, -0.01, 0.01, 3.0))
+        with pytest.raises(ResolutionError, match="between grid 64 and 127"):
+            lg.build_cells([fam], ex1d.box, grid=64)
+        coarse = lg.build_cells([fam], ex1d.box, grid=64,
+                                stability_check=False)
+        assert [c.y for c in coarse.cells] == [(1,), (3,)]
 
 
 class TestNav2D:

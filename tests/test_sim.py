@@ -17,30 +17,51 @@ from lyagate.errors import (
 
 
 class TestIntegrate:
+    """One control everywhere: the closed loop's closed-form flow."""
+
     def test_decay_closed_form(self, ex1d):
-        tr = lg.integrate(ex1d.sys, ex1d.g0, (3.0,), math.log(3.0), 1e-4)
-        assert tr.states[-1][0] == pytest.approx(1.0, abs=1e-8)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (3.0,),
+                                     math.log(3.0), 1e-4,
+                                     controls=ex1d.controls)
+        assert tr.trajectory.times[-1] == pytest.approx(math.log(3.0))
+        assert tr.trajectory.states[-1][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_growth_closed_form(self, ex1d):
-        tr = lg.integrate(ex1d.sys, ex1d.g2x, (1.0,), math.log(3.0), 1e-4)
-        assert tr.states[-1][0] == pytest.approx(3.0, abs=1e-8)
+        kappa = {c: "g2x" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (1.0,),
+                                     math.log(3.0), 1e-4,
+                                     controls=ex1d.controls)
+        assert tr.trajectory.times[-1] == pytest.approx(math.log(3.0))
+        assert tr.trajectory.states[-1][0] == pytest.approx(3.0, abs=1e-8)
 
-    def test_zero_field_constant(self):
-        box = lg.Box((-1.0,), (1.0,))
-        sysz = lg.ControlSystem(n=1, m=1, domain=box,
+    def test_zero_field_constant(self, ex1d):
+        sysz = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
                                 f=(ex.parse_expression("0*x1 + 0*u1", 1, 1),))
         g = lg.ControlLaw("z", (ex.parse_expression("0", 1, 0),))
-        tr = lg.integrate(sysz, g, (0.3,), 1.0, 1e-3)
-        assert np.all(tr.states[:, 0] == 0.3)
+        kappa = {c: "z" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(sysz, kappa, ex1d.complex, (0.3,),
+                                     1.0, 1e-3, controls=[g])
+        assert tr.events == []
+        assert tr.trajectory.times[-1] == pytest.approx(1.0)
+        assert np.all(tr.trajectory.states[:, 0] == 0.3)
 
     def test_domain_exit_stops(self, ex1d):
-        tr = lg.integrate(ex1d.sys, ex1d.g2x, (2.0,), 10.0, 1e-3)
-        assert tr.exited
-        assert tr.times[-1] < 10.0
+        # x = 2 e^t reaches the box face x1 = 3 at t = ln 1.5
+        kappa = {c: "g2x" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (2.0,),
+                                     10.0, 1e-3, controls=ex1d.controls)
+        assert tr.trajectory.exited
+        assert tr.events[-1].new_cell == "sink"
+        assert tr.trajectory.times[-1] == pytest.approx(math.log(1.5),
+                                                        abs=1e-8)
 
     def test_times_strictly_increasing(self, ex1d):
-        tr = lg.integrate(ex1d.sys, ex1d.g0, (2.0,), 1.0, 1e-3)
-        assert np.all(np.diff(tr.times) > 0)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (2.0,),
+                                     1.0, 1e-3, controls=ex1d.controls)
+        assert tr.events
+        assert np.all(np.diff(tr.trajectory.times) > 0)
 
 
 class TestClosedLoop:
@@ -115,7 +136,7 @@ class TestClosedLoop:
 
     def test_chattering_guard(self, ex1d):
         # adversarial switcher: always pick the control that pushes back
-        def flip(cell_id, n_events, rng):
+        def flip(cell_id, n_events):
             lbl = ex1d.complex.cell(cell_id).label
             return "g2x" if lbl == "[-1,1]" else "g0"
 
@@ -191,8 +212,6 @@ class TestFusedStep:
         with pytest.raises(error):
             lg.simulate_closed_loop(sysx, kappa, ex1d.complex, (x0,),
                                     5.0, 1.0, controls=ex1d.controls)
-        with pytest.raises(error):
-            lg.integrate(sysx, ex1d.g0, (x0,), 5.0, 1.0)
 
 
 def check_visits(tr):
@@ -300,7 +319,7 @@ class TestTraceArtifacts:
         chose, which cannot be looked up by cell afterwards."""
         chosen = []
 
-        def alternate(cell, n_events, rng):
+        def alternate(cell, n_events):
             ctrl = "firm" if n_events % 2 else "brake"
             chosen.append((cell, ctrl))
             return ctrl

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import lyagate as lg
 from lyagate import tga as ta
-from lyagate.errors import NegativeClockError, UnboundedRatioError
+from lyagate import expr as ex
+from lyagate.errors import (
+    FacetSignConflictError, NegativeClockError, UnboundedRatioError,
+)
 
 REL = 0.005
 
@@ -91,6 +94,42 @@ class TestBuild:
         names = {l.cell for l in auto.non_sink_locations()}
         assert names == {"e1", "e2"}
         assert len(auto.non_sink_locations()) == 4
+
+
+class TestFacetSignConflict:
+    def test_facet_lie_derivative_changes_sign(self):
+        """phi = x1 with dx1 = x2: L_g phi = x2 takes both signs on the
+        facet x1 = 0, so no crossing direction can be given to it."""
+        box = lg.Box((-1.0, -1.0), (1.0, 1.0))
+        sys2 = lg.ControlSystem(n=2, m=1, domain=box,
+                                f=(ex.parse_expression("x2", 2, 1),
+                                   ex.parse_expression("u1", 2, 1)))
+        g = lg.ControlLaw("g", (ex.parse_expression("0", 2, 0),))
+        fam = lg.PartitioningFamily(
+            index=1, phi=ex.parse_expression("x1", 2, 0),
+            levels=(-1.0, 0.0, 1.0))
+        complex = lg.build_cells([fam], box, grid=17)
+        bounds = lg.compute_bounds(
+            sys2, [g], [fam], {1: lg.build_slices(fam, box, grid=17)},
+            grid=17)
+        signs = {(1, 1, "g"): 1, (1, 2, "g"): 1}
+        with pytest.raises(FacetSignConflictError) as err:
+            lg.build_tga(sys2, complex, [g], bounds, signs)
+        assert (err.value.family, err.value.control) == (1, "g")
+        assert min(err.value.values) < 0.0 < max(err.value.values)
+
+    def test_sign_table_contradicts_facet(self, ex1d):
+        """Every facet sample of level 1 says g0 moves phi down, and the
+        sign table says up for the outer slice that such a crossing leaves."""
+        signs = dict(ex1d.signs)
+        signs[(1, 2, "g0")] = 1
+        with pytest.raises(FacetSignConflictError) as err:
+            lg.build_tga(ex1d.sys, ex1d.complex, ex1d.controls, ex1d.bounds,
+                         signs)
+        assert (err.value.family, err.value.control) == (1, "g0")
+        assert {err.value.cell_a, err.value.cell_b} in (
+            {ex1d.mid, ex1d.left}, {ex1d.mid, ex1d.right})
+        assert all(v < 0.0 for v in err.value.values)
 
 
 class TestValuations:
