@@ -22,13 +22,15 @@ from . import expr as ex
 # installed on `model.sample_level_set` sees the calls made from here
 from . import model as md
 from .errors import (
-    CoverageError, EmptySliceError, OutOfDomainError, ResolutionError,
+    CoverageError, EmptySliceError, ModelError, OutOfDomainError,
+    ResolutionError,
 )
 from .model import EPS_REG, Box, PartitioningFamily
 
 DEFAULT_GRID = 64
 MAX_FACET_POINTS = 32
 EPS_FACE = 1e-9          # relative half-width of the boundary tag in locate()
+LEVEL_EPS_FACE = 1e-7    # the same for points sampled on a level
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,16 @@ def _band_labels(levels, vals):
     return np.clip(idx, 1, len(levels) - 1)
 
 
+@dataclass
+class _LevelSamples:
+    """Crossable samples of one level and what is known of them."""
+
+    points: list         # point tuples
+    norms: list          # gradient norm at each point
+    rows_by_y: dict      # band tuple -> rows whose band options allow it
+    located: dict        # row -> cell ids from locate(), or None if refused
+
+
 class CellComplex:
     """The finite partition: cells, adjacency, and point-location support."""
 
@@ -141,7 +153,7 @@ class CellComplex:
         for c, cols in zip(self.cells, columns):
             self._cells_by_y.setdefault(c.y, []).append((c.id, cols))
         self._gradient_cache = {}
-        self._touch_cache = {}
+        self._level_cache = {}
         self._adj_by_cell = {}
         for adj in self.adjacency:
             self._adj_by_cell.setdefault(adj.a, []).append(adj)
@@ -174,24 +186,91 @@ class CellComplex:
         a level that only meets X at critical points (the floor of a Lyapunov
         stack) yields an empty list and cannot be crossed.
         """
+        samples = self._level_samples(family_index, level)
+        out = []
+        for row, (p, gn) in enumerate(zip(samples.points, samples.norms)):
+            cells = self._cells_at(samples, row)
+            if cells is not None:
+                out.append((p, cells, gn))
+        return out
+
+    def cell_touches_level(self, cell_id, family_index, level):
+        """True when the cell's boundary contains a crossable piece of the level.
+
+        This is exactly "some entry of ``level_crossing_points`` holds the
+        cell", but only the samples listed under the cell's band tuple are
+        located, in sample order. ``locate`` takes a point's cells from the
+        product of its per-family ``_band_options``, and ``_rows_by_y``
+        lists each sample under every band tuple of that product, with the
+        same phi and the same rule. A sample not listed under the cell's
+        band tuple therefore cannot hold the cell, and skipping it changes
+        no answer.
+        """
+        samples = self._level_samples(family_index, level)
+        return any(cell_id in (self._cells_at(samples, row) or ())
+                   for row in samples.rows_by_y.get(self.cell(cell_id).y, ()))
+
+    def _family(self, family_index):
+        for fam in self.families:
+            if fam.index == family_index:
+                return fam
+        raise ModelError("no partitioning family with index %r; the complex "
+                         "has %s" % (family_index,
+                                     [f.index for f in self.families]))
+
+    def _level_samples(self, family_index, level):
+        """The crossable samples of one level, built once per complex: the
+        points of ``model.sample_level_set``, in its order, less those where
+        the gradient vanishes."""
         key = (family_index, float(level))
-        if key not in self._touch_cache:
-            fam = next(f for f in self.families if f.index == family_index)
-            pts = md.sample_level_set(fam, level, self.box,
-                                      grid=min(self.grid, 64))
+        if key not in self._level_cache:
+            fam = self._family(family_index)
             grad_fns, thresh = self._gradient_of(fam)
-            out = []
-            for p in pts:
+            pts, norms = [], []
+            for p in md.sample_level_set(fam, level, self.box,
+                                         grid=min(self.grid, 64)):
                 gn = math.sqrt(sum(fn(p) ** 2 for fn in grad_fns))
-                if gn <= thresh:
-                    continue
-                try:
-                    loc = self.locate(p, eps_face=1e-7)
-                except OutOfDomainError:
-                    continue
-                out.append((p, set(loc.cells) | {loc.primary}, gn))
-            self._touch_cache[key] = out
-        return self._touch_cache[key]
+                if gn > thresh:
+                    pts.append(p)
+                    norms.append(gn)
+            self._level_cache[key] = _LevelSamples(
+                pts, norms, self._rows_by_y(pts), {})
+        return self._level_cache[key]
+
+    def _rows_by_y(self, points):
+        """Rows of ``points`` under each band tuple whose cells may hold them.
+
+        A row is listed under every band tuple with cells in the product of
+        its per-family ``_band_options`` at LEVEL_EPS_FACE, the set that
+        ``locate`` draws the row's cells from. A row where some phi is not
+        finite is listed nowhere, as ``locate`` refuses it.
+        """
+        rows = {}
+        for row, p in enumerate(points):
+            options = []
+            for _, phi, levels, band_count in self._family_lookup:
+                v = phi(p)
+                if not math.isfinite(v):
+                    break
+                options.append(_band_options(v, levels, band_count,
+                                             LEVEL_EPS_FACE))
+            else:
+                for y in itertools.product(*options):
+                    if y in self._cells_by_y:
+                        rows.setdefault(y, []).append(row)
+        return rows
+
+    def _cells_at(self, samples, row):
+        """The cell ids ``locate`` gives a level sample, or None when it
+        refuses the point; each sample is located at most once."""
+        located = samples.located
+        if row not in located:
+            try:
+                located[row] = set(self.locate(samples.points[row],
+                                               eps_face=LEVEL_EPS_FACE).cells)
+            except OutOfDomainError:
+                located[row] = None
+        return located[row]
 
     def _gradient_of(self, fam):
         """Compiled gradient of phi and its vanishing threshold, once per family.
@@ -207,11 +286,6 @@ class CellComplex:
             self._gradient_cache[fam.index] = (
                 [ex.compile_scalar(e) for e in grad], max(EPS_REG, 1e-4 * scale))
         return self._gradient_cache[fam.index]
-
-    def cell_touches_level(self, cell_id, family_index, level):
-        """True when the cell's boundary contains a crossable piece of the level."""
-        return any(cell_id in cells
-                   for _, cells, _ in self.level_crossing_points(family_index, level))
 
     def locate(self, x, eps_face=EPS_FACE):
         return locate(x, self, eps_face=eps_face)
@@ -391,9 +465,14 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
         for y, _ in [(y, z) for y, z, _ in ordered_fine]:
             counts_fine[y] = counts_fine.get(y, 0) + 1
         if counts != counts_fine:
+            changed = sorted(y for y in counts.keys() | counts_fine.keys()
+                             if counts.get(y) != counts_fine.get(y))
             raise ResolutionError(
-                "component counts changed between grid %d and %d: %s vs %s"
-                % (grid, fine, counts, counts_fine))
+                "component counts changed between grid %d and %d: %s vs %s; "
+                "the grid does not resolve band tuple(s) %s: raise "
+                "grid.points_per_dim above %d"
+                % (grid, fine, counts, counts_fine,
+                   ", ".join(map(str, changed)), grid))
 
     # adjacency from orthogonal grid edges crossing exactly one level, per
     # cell pair in pair order; the sort is stable, so each pair's edges stay
@@ -487,18 +566,33 @@ def _grid_distance(columns, x):
     return math.sqrt(float(acc.min()))
 
 
+def _band_options(v, levels, band_count, eps_face):
+    """Sorted 1-based bands that may hold a point whose phi value is v.
+
+    The band comes from bisection of v on the levels, clipped to
+    1..band_count at both ends of the stack (a value on a level goes to the
+    band below it). When v lies within ``eps_face * max(1, |a|)`` of a level
+    a (the first such level), the bands on both sides of a, clipped the
+    same way, are options too.
+    """
+    h = min(max(bisect_left(levels, v), 1), band_count)
+    for j, a in enumerate(levels):
+        if abs(v - a) <= eps_face * max(1.0, abs(a)):
+            # bands j (below a) and j + 1 (above a), clipped like h
+            return sorted({h, max(j, 1), min(j + 1, band_count)})
+    return [h]
+
+
 def locate(x, complex: CellComplex, eps_face=EPS_FACE):
     """Cell(s) containing x; points within eps_face of a level get both sides.
 
-    Per family, the band comes from bisection of phi(x) on the levels (a
-    value on a level goes to the band below it); when phi(x) lies within
-    ``eps_face * max(1, |a|)`` of a level a, the band on the other side of
-    a is a second option and the family is listed in
-    ``boundary_families``. Within each band tuple of options that has
-    cells, the candidate is the component whose grid points lie nearest to
-    x in Euclidean distance. ``cells`` holds the candidates' ids, sorted;
-    ``primary`` is the nearest candidate, ties going to the smaller id.
-    Distances are computed only when more than one cell can hold x.
+    Per family, ``_band_options`` gives the bands phi(x) allows, and a
+    family with two is listed in ``boundary_families``. Within each band
+    tuple of options that has cells, the candidate is the component whose
+    grid points lie nearest to x in Euclidean distance. ``cells`` holds the
+    candidates' ids, sorted; ``primary`` is the nearest candidate, ties
+    going to the smaller id. Distances are computed only when more than one
+    cell can hold x.
 
     Raises OutOfDomainError when x lies outside the box, when some phi(x)
     is not finite, or when no cell has a matching band tuple.
@@ -514,18 +608,10 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
         if not math.isfinite(v):
             raise OutOfDomainError("phi of family %d is %r at %s"
                                    % (index, v, xt))
-        h = min(max(bisect_left(levels, v), 1), band_count)
-        options = {h}
-        for j, a in enumerate(levels):
-            if abs(v - a) <= eps_face * max(1.0, abs(a)):
-                if 1 <= j <= band_count:
-                    options.add(j)        # band below the level
-                if 1 <= j + 1 <= band_count:
-                    options.add(j + 1)    # band above the level
-                if len(options) > 1:
-                    boundary_families.append(index)
-                break
-        band_options.append(sorted(options))
+        options = _band_options(v, levels, band_count, eps_face)
+        if len(options) > 1:
+            boundary_families.append(index)
+        band_options.append(options)
 
     groups = [m for m in map(complex._cells_by_y.get,
                              itertools.product(*band_options)) if m]

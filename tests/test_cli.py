@@ -75,6 +75,20 @@ class TestAbstract:
         assert run("abstract", str(path), "--out", str(tmp_path)) == 1
         assert "component counts changed" in capsys.readouterr().err
 
+    def test_unresolved_band_names_band_and_grid_key(self, tmp_path, capsys):
+        """The refusal names the band tuple the grid misses and asks for a
+        larger grid.points_per_dim; the counts come first."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["partitions"] = [{"phi": "x1",
+                               "levels": [-3.0, -0.01, 0.01, 3.0]}]
+        path = tmp_path / "unresolved.json"
+        path.write_text(json.dumps(spec))
+        assert run("abstract", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.index("component counts changed") < err.index("(2,)")
+        assert "band tuple(s) (2,):" in err
+        assert "raise grid.points_per_dim above 64" in err
+
 
 class TestSynthesize:
     def test_reach_by_label(self, tmp_path, capsys):

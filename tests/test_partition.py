@@ -1,16 +1,19 @@
 """Slices, cells, adjacency, and point location."""
 
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate import partition as pt
 from lyagate.errors import (
-    CoverageError, LyagateError, OutOfDomainError, ResolutionError,
+    CoverageError, LyagateError, ModelError, OutOfDomainError,
+    ResolutionError,
 )
 
 
@@ -247,6 +250,103 @@ class TestLevelTouch:
         goal = nav2d.goal[0]
         assert not nav2d.complex.cell_touches_level(goal, 2, 1.0)
 
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d", "corners"])
+    def test_touch_is_any_crossing_point(self, request, scenario):
+        """Every (cell, family, level) answer equals a scan of all the
+        level's crossing points, each side on a fresh complex."""
+        cx = request.getfixturevalue(scenario).complex
+
+        def fresh():
+            return lg.build_cells(cx.families, cx.box, grid=cx.grid,
+                                  stability_check=False)
+
+        touching, scanned = fresh(), fresh()
+        answers = []
+        for fam in cx.families:
+            for level in fam.levels:
+                points = scanned.level_crossing_points(fam.index, level)
+                for c in cx.cells:
+                    want = any(c.id in cells for _, cells, _ in points)
+                    got = touching.cell_touches_level(c.id, fam.index, level)
+                    assert got == want, (c.id, fam.index, level)
+                    answers.append(got)
+        assert any(answers) and not all(answers)
+
+    def test_unknown_family_is_named(self, ex1d):
+        for query in (lambda: ex1d.complex.cell_touches_level(ex1d.mid, 7, 1.0),
+                      lambda: ex1d.complex.level_crossing_points(7, 1.0)):
+            with pytest.raises(ModelError,
+                               match=r"no partitioning family with index 7"):
+                query()
+
+
+@pytest.fixture(scope="module")
+def clipped():
+    """Two crossing linear families whose stacks end inside the box, so that
+    locate's clip to the first and last band decides points beyond them."""
+    box = lg.Box((-3.0, -3.0), (3.0, 3.0))
+    fams = [lg.PartitioningFamily(1, ex.parse_expression("x1 + x2", 2, 0),
+                                  (-4.0, 0.0, 0.05, 4.0)),
+            lg.PartitioningFamily(2, ex.parse_expression("x1 - 0.5*x2", 2, 0),
+                                  (-3.0, 0.3, 3.0))]
+    return lg.build_cells(fams, box, grid=32, stability_check=False)
+
+
+# offsets from a level: on it, inside and around the 1e-7 boundary tag
+# (relative to max(1, |level|)), and far enough to leave the stack's ends
+_offsets = st.one_of(
+    st.just(0.0), st.floats(-3e-7, 3e-7), st.floats(-1.0, 1.0),
+    st.sampled_from([s * k * 1e-7 for s in (-1, 1)
+                     for k in (0.999999, 1.0, 1.000001, 4.0)]))
+
+
+def _assert_indexed(cx, x):
+    """locate(x, 1e-7) puts x only in cells whose band tuple lists it."""
+    try:
+        cells = cx.locate(x, eps_face=pt.LEVEL_EPS_FACE).cells
+    except OutOfDomainError:
+        return
+    rows = cx._rows_by_y([x])
+    for cid in cells:
+        assert rows.get(cx.cell(cid).y) == [0], (x, cid)
+
+
+class TestTouchIndex:
+    """The band-tuple index of level samples never omits a row that
+    locate() puts in a cell of that band tuple."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(i=st.integers(0, 3), j=st.integers(0, 2), di=_offsets,
+           dj=_offsets, free=st.floats(-4.5, 4.5), both=st.booleans())
+    def test_clipped_stacks(self, clipped, i, j, di, dj, free, both):
+        """Near one level or near two levels at once, and beyond a_0 or
+        a_k of either stack."""
+        f1, f2 = clipped.families
+        v1 = f1.levels[i] + di
+        v2 = f2.levels[j] + dj if both else free
+        x2 = (v1 - v2) / 1.5            # x1 + x2 = v1, x1 - 0.5*x2 = v2
+        _assert_indexed(clipped, (v1 - x2, x2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(level=st.sampled_from([1.0, 2.5, 5.0, 9.0, 27.5]),
+           theta=st.floats(0.0, 6.3), rel=_offsets)
+    def test_nav2d_rings(self, nav2d, level, theta, rel):
+        """Near a level of family 1 (family 2's phi is twice family 1's)."""
+        u = (math.cos(theta), math.sin(theta))
+        phi_u = 1.5 * u[0] ** 2 + u[0] * u[1] + 0.5 * u[1] ** 2
+        r = math.sqrt(level / phi_u) * (1.0 + rel)
+        _assert_indexed(nav2d.complex, (r * u[0], r * u[1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.one_of(st.floats(-1e-6, 1e-6),
+                       st.sampled_from([-3.0, -1.0, 1.0, 3.0])),
+           dx=_offsets)
+    def test_ex1d_levels_and_floor(self, ex1d, nav2d, x, dx):
+        """Near the levels of x1^2, its floor, and the common floor of both
+        nav2d families at the origin."""
+        _assert_indexed(ex1d.complex, (x + dx,))
+        _assert_indexed(nav2d.complex, (1e-3 * x, 1e-3 * dx))
+
 
 class TestResolution:
     def test_band_between_coarse_points_refused(self, ex1d):
@@ -255,8 +355,10 @@ class TestResolution:
         fam = lg.PartitioningFamily(
             index=1, phi=ex.parse_expression("x1", 1, 0),
             levels=(-3.0, -0.01, 0.01, 3.0))
-        with pytest.raises(ResolutionError, match="between grid 64 and 127"):
+        with pytest.raises(ResolutionError, match="between grid 64 and 127") as err:
             lg.build_cells([fam], ex1d.box, grid=64)
+        assert str(err.value).endswith(
+            "band tuple(s) (2,): raise grid.points_per_dim above 64")
         coarse = lg.build_cells([fam], ex1d.box, grid=64,
                                 stability_check=False)
         assert [c.y for c in coarse.cells] == [(1,), (3,)]

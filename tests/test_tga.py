@@ -1,12 +1,14 @@
 """Automaton construction, clock algebra, and run replay."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lyagate as lg
+from lyagate import cli
 from lyagate import tga as ta
 from lyagate import expr as ex
 from lyagate.errors import (
@@ -385,3 +387,129 @@ class TestExports:
 
         projected = {project(n) for n in r_cell.locations()}
         assert projected <= r_ext.locations()
+
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
+
+
+@pytest.mark.parametrize("spec", ["example1d", "phase_plane"])
+def test_demo_automata_transitions(spec):
+    """The (source, target, action, kind) set of both shipped automata in
+    both modes, sink edges included, is pinned in DEMO_TRANSITIONS."""
+    pipe = cli.Pipeline(cli.SystemSpec.load(
+        os.path.join(SPEC_DIR, spec + ".json")))
+    want = {}
+    for header, *lines in (block.split("\n") for block in
+                           DEMO_TRANSITIONS.strip().split("\n\n")):
+        want[tuple(header.split())] = {tuple(line.split()) for line in lines}
+    for mode in ("cells", "extended-cells"):
+        got = {(t.source, t.target, t.action, t.kind)
+               for t in pipe.automaton(mode).transitions}
+        assert got == want[spec, mode], mode
+
+
+# one block per (spec, mode): "source target action kind" per transition
+DEMO_TRANSITIONS = """
+example1d cells
+(c1-0,g0) (c1-0,g2x) c:g2x c
+(c1-0,g2x) (c1-0,g0) c:g0 c
+(c1-0,g2x) (c2-0,g2x) u1 u
+(c1-0,g2x) (c2-1,g2x) u1 u
+(c2-0,g0) (c1-0,g0) u1 u
+(c2-0,g0) (c2-0,g2x) c:g2x c
+(c2-0,g2x) (c2-0,g0) c:g0 c
+(c2-0,g2x) sink u1 u
+(c2-1,g0) (c1-0,g0) u1 u
+(c2-1,g0) (c2-1,g2x) c:g2x c
+(c2-1,g2x) (c2-1,g0) c:g0 c
+(c2-1,g2x) sink u1 u
+
+example1d extended-cells
+(e1,g0) (e1,g2x) c:g2x c
+(e1,g2x) (e1,g0) c:g0 c
+(e1,g2x) (e2,g2x) u1 u
+(e2,g0) (e1,g0) u1 u
+(e2,g0) (e2,g2x) c:g2x c
+(e2,g2x) (e2,g0) c:g0 c
+(e2,g2x) sink u1 u
+
+phase_plane cells
+(c1.1-0,brake) (c1.1-0,firm) c:firm c
+(c1.1-0,firm) (c1.1-0,brake) c:brake c
+(c1.2-0,brake) (c1.1-0,brake) u2 u
+(c1.2-0,brake) (c1.2-0,firm) c:firm c
+(c1.2-0,firm) (c1.1-0,firm) u2 u
+(c1.2-0,firm) (c1.2-0,brake) c:brake c
+(c2.2-0,brake) (c1.2-0,brake) u1 u
+(c2.2-0,brake) (c2.2-0,firm) c:firm c
+(c2.2-0,firm) (c1.2-0,firm) u1 u
+(c2.2-0,firm) (c2.2-0,brake) c:brake c
+(c3.2-0,brake) (c2.2-0,brake) u1 u
+(c3.2-0,brake) (c3.2-0,firm) c:firm c
+(c3.2-0,firm) (c2.2-0,firm) u1 u
+(c3.2-0,firm) (c3.2-0,brake) c:brake c
+(c3.3-0,brake) (c3.2-0,brake) u2 u
+(c3.3-0,brake) (c3.3-0,firm) c:firm c
+(c3.3-0,firm) (c3.2-0,firm) u2 u
+(c3.3-0,firm) (c3.3-0,brake) c:brake c
+(c3.3-1,brake) (c3.2-0,brake) u2 u
+(c3.3-1,brake) (c3.3-1,firm) c:firm c
+(c3.3-1,firm) (c3.2-0,firm) u2 u
+(c3.3-1,firm) (c3.3-1,brake) c:brake c
+(c4.3-0,brake) (c3.3-0,brake) u1 u
+(c4.3-0,brake) (c4.3-0,firm) c:firm c
+(c4.3-0,firm) (c3.3-0,firm) u1 u
+(c4.3-0,firm) (c4.3-0,brake) c:brake c
+(c4.3-1,brake) (c3.3-1,brake) u1 u
+(c4.3-1,brake) (c4.3-1,firm) c:firm c
+(c4.3-1,firm) (c3.3-1,firm) u1 u
+(c4.3-1,firm) (c4.3-1,brake) c:brake c
+(c5.3-0,brake) (c4.3-0,brake) u1 u
+(c5.3-0,brake) (c5.3-0,firm) c:firm c
+(c5.3-0,firm) (c4.3-0,firm) u1 u
+(c5.3-0,firm) (c5.3-0,brake) c:brake c
+(c5.3-1,brake) (c4.3-1,brake) u1 u
+(c5.3-1,brake) (c5.3-1,firm) c:firm c
+(c5.3-1,firm) (c4.3-1,firm) u1 u
+(c5.3-1,firm) (c5.3-1,brake) c:brake c
+(c5.4-0,brake) (c5.3-0,brake) u2 u
+(c5.4-0,brake) (c5.4-0,firm) c:firm c
+(c5.4-0,firm) (c5.3-0,firm) u2 u
+(c5.4-0,firm) (c5.4-0,brake) c:brake c
+(c5.4-1,brake) (c5.3-1,brake) u2 u
+(c5.4-1,brake) (c5.4-1,firm) c:firm c
+(c5.4-1,firm) (c5.3-1,firm) u2 u
+(c5.4-1,firm) (c5.4-1,brake) c:brake c
+
+phase_plane extended-cells
+(e1.1,brake) (e1.1,firm) c:firm c
+(e1.1,firm) (e1.1,brake) c:brake c
+(e1.2,brake) (e1.1,brake) u2 u
+(e1.2,brake) (e1.2,firm) c:firm c
+(e1.2,firm) (e1.1,firm) u2 u
+(e1.2,firm) (e1.2,brake) c:brake c
+(e2.2,brake) (e1.2,brake) u1 u
+(e2.2,brake) (e2.2,firm) c:firm c
+(e2.2,firm) (e1.2,firm) u1 u
+(e2.2,firm) (e2.2,brake) c:brake c
+(e3.2,brake) (e2.2,brake) u1 u
+(e3.2,brake) (e3.2,firm) c:firm c
+(e3.2,firm) (e2.2,firm) u1 u
+(e3.2,firm) (e3.2,brake) c:brake c
+(e3.3,brake) (e3.2,brake) u2 u
+(e3.3,brake) (e3.3,firm) c:firm c
+(e3.3,firm) (e3.2,firm) u2 u
+(e3.3,firm) (e3.3,brake) c:brake c
+(e4.3,brake) (e3.3,brake) u1 u
+(e4.3,brake) (e4.3,firm) c:firm c
+(e4.3,firm) (e3.3,firm) u1 u
+(e4.3,firm) (e4.3,brake) c:brake c
+(e5.3,brake) (e4.3,brake) u1 u
+(e5.3,brake) (e5.3,firm) c:firm c
+(e5.3,firm) (e4.3,firm) u1 u
+(e5.3,firm) (e5.3,brake) c:brake c
+(e5.4,brake) (e5.3,brake) u2 u
+(e5.4,brake) (e5.4,firm) c:firm c
+(e5.4,firm) (e5.3,firm) u2 u
+(e5.4,firm) (e5.4,brake) c:brake c
+"""
