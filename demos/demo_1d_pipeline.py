@@ -31,13 +31,17 @@ fam = lg.PartitioningFamily(index=1, phi=ex.parse_expression("x1^2", 1, 0),
 print("== validation ==")
 report = lg.validate_levels(fam, box)
 print("levels regular, min |grad phi| per level:", report.min_grad)
-signs = lg.admissibility_map(sys, controls, [fam])
+# each control's equilibria, found once and read by admissibility and bounds
+equilibria = {g.name: lg.critical_points(sys, g) for g in controls}
+signs = lg.admissibility_map(sys, controls, [fam], equilibria=equilibria)
 print("slice-wise signs of phidot:", signs)
 
 # The paper's third control u = 1.5 is NOT admissible: phidot = 2x(1.5 - x)
 # changes sign inside the inner slice. The toolkit refuses it loudly.
+g15 = lg.ControlLaw("g15", (ex.parse_expression("1.5", 1, 0),))
 try:
-    lg.check_admissibility(sys, lg.ControlLaw("g15", (ex.parse_expression("1.5", 1, 0),)), fam)
+    lg.check_admissibility(sys, g15, fam,
+                           equilibria=lg.critical_points(sys, g15))
 except lg.errors.AdmissibilityError as err:
     print("g = 1.5 rejected:", err)
 
@@ -48,7 +52,8 @@ for c in complex.cells:
     print("cell %-6s label %-8s rep %s" % (c.id, c.label, c.rep_point))
 
 print("\n== dwell bounds (Theorem-style windows) ==")
-bounds = lg.compute_bounds(sys, controls, [fam], slices)
+bounds = lg.compute_bounds(sys, controls, [fam], slices,
+                           equilibria=equilibria)
 for key, tb in sorted(bounds.timings.items()):
     print("family %d slice %d control %-4s: t_lo=%.4f t_hi=%s"
           % (key[0], key[1], key[2], tb.t_lo,

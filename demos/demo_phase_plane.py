@@ -43,12 +43,15 @@ families = [fam1, fam2]
 print("validating families and controls...")
 for fam in families:
     lg.validate_levels(fam, box)
-signs = lg.admissibility_map(sys, controls, families, grid=96)
+equilibria = {g.name: lg.critical_points(sys, g) for g in controls}
+signs = lg.admissibility_map(sys, controls, families, grid=96,
+                             equilibria=equilibria)
 
 print("building cells, bounds, and the automaton...")
 slices = {f.index: lg.build_slices(f, box, grid=96) for f in families}
 complex = lg.build_cells(families, box, grid=96)
-bounds = lg.compute_bounds(sys, controls, families, slices, grid=96)
+bounds = lg.compute_bounds(sys, controls, families, slices, grid=96,
+                           equilibria=equilibria)
 auto = lg.build_tga(sys, complex, controls, bounds, signs)
 
 goal = [c.id for c in complex.cells if c.y[0] == 2]

@@ -27,7 +27,7 @@ from .bounds import (
 )
 from .tga import (
     Location, FamilyUpdate, UpdateMap, Transition, TimedGameAutomaton,
-    build_tga, delay, apply_update, switch_update, enabled, run_feasible,
+    build_tga, delay, apply_update, switch_update, run_feasible,
     zero_valuation,
 )
 from .game import (

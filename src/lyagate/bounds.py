@@ -8,10 +8,12 @@ band, hence an upper and lower bound on the dwell time:
     t_lo = (band width) / sup |phidot|      (guard: exit no earlier)
     t_hi = (band width) / inf |phidot|      (invariant: exit no later)
 
-Extrema come from a grid scan refined by coordinate-wise golden-section
-search inside the slice, then rounded outward by 0.1% so that sampling error
-cannot make the stored extrema tighter than the true ones. inf = 0 encodes
-"no invariant"; t_hi is then the explicit infinity, never a large float.
+Extrema come from a grid scan of the closed band (``band_mask``) refined by
+coordinate-wise golden-section search inside the slice, then rounded outward
+by 0.1% so that sampling error cannot make the stored extrema tighter than
+the true ones. The caller passes each control's equilibria, found once per
+build; one inside the band clamps inf to 0. inf = 0 encodes "no invariant";
+t_hi is then the explicit infinity, never a large float.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ class TimingBounds:
     delta_a: float
 
 
-def _golden_min(fun, lo, hi, iters=_GOLDEN_ITERS):
+def _golden_min(fun, lo, hi):
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -76,11 +78,12 @@ def _golden_min(fun, lo, hi, iters=_GOLDEN_ITERS):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, crit=None):
+def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, *, equilibria):
     """Grid scan of |phidot_g| over slice ∩ X plus golden-section refinement.
 
-    The infimum is clamped to zero when an equilibrium of the closed loop
-    lies inside the slice band. Final values are rounded outward by 0.1%.
+    The infimum is clamped to zero when one of ``equilibria`` (the
+    ``critical_points`` of g) lies inside the slice band. Final values are
+    rounded outward by 0.1%.
     """
     ld = md.lie_derivative(sys, g, fam)
     phid_v = ld.vector_function()
@@ -90,8 +93,7 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, crit=None):
 
     pts = sys.domain.grid(grid)
     phis = phi_v(pts)
-    tol = 1e-12 * max(1.0, abs(slc.lo), abs(slc.hi))
-    mask = (phis >= slc.lo - tol) & (phis <= slc.hi + tol)
+    mask = fam.band_mask(slc.index, phis)
     if not mask.any():
         raise EmptySliceError("slice %d of family %d has no grid samples"
                               % (slc.index, slc.family))
@@ -134,11 +136,9 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, crit=None):
     raw_inf = min(float(vals.min()), abs(phid_s(tuple(x_min))))
     raw_sup = max(float(vals.max()), abs(phid_s(tuple(x_max))))
 
-    if crit is None:
-        crit = md.critical_points(sys, g, grid=min(grid, 64))
-    for p in crit:
-        v = phi_s(tuple(p))
-        if slc.lo - tol <= v <= slc.hi + tol and sys.domain.contains(p, tol=1e-9):
+    for p in equilibria:
+        if (fam.band_mask(slc.index, phi_s(tuple(p)))
+                and sys.domain.contains(p, tol=1e-9)):
             raw_inf = 0.0
             x_min = tuple(p)
             break
@@ -175,12 +175,6 @@ class BoundsTable:
         key = (ext.family, ext.slice_index, ext.control)
         self.extremals[key] = ext
         self.timings[key] = tb
-
-    def t_lo(self, family, slice_index, control):
-        return self.timings[(family, slice_index, control)].t_lo
-
-    def t_hi(self, family, slice_index, control):
-        return self.timings[(family, slice_index, control)].t_hi
 
     def timing(self, family, slice_index, control):
         return self.timings[(family, slice_index, control)]
@@ -219,18 +213,18 @@ class BoundsTable:
         return out
 
 
-def compute_bounds(sys, controls, families, slices_by_family, grid=64):
+def compute_bounds(sys, controls, families, slices_by_family, grid=64, *,
+                   equilibria):
     """Fill a BoundsTable for every (slice, control) pair.
 
-    ``slices_by_family`` maps family index -> list of Slice from build_slices.
+    ``slices_by_family`` maps family index -> list of Slice from build_slices,
+    and ``equilibria`` control name -> its ``critical_points``.
     """
     table = BoundsTable()
-    crit_cache = {g.name: md.critical_points(sys, g, grid=min(grid, 64))
-                  for g in controls}
     for fam in families:
         for slc in slices_by_family[fam.index]:
             for g in controls:
                 ext = extremal_lie_derivative(
-                    slc, g, fam, sys, grid=grid, crit=crit_cache[g.name])
+                    slc, g, fam, sys, grid=grid, equilibria=equilibria[g.name])
                 table.add(ext, timing_bounds(ext, slc.width))
     return table

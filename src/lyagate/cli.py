@@ -144,6 +144,7 @@ class Pipeline:
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         self._slices = None
+        self._equilibria = None
         self._signs = None
         self._complex = None
         self._bounds = None
@@ -156,11 +157,21 @@ class Pipeline:
                 for fam in self.spec.families}
         return self._slices
 
+    def equilibria(self):
+        """Each control's ``critical_points``, searched once per build on a
+        grid no coarser than the admissibility or bounds grid, up to 64."""
+        if self._equilibria is None:
+            grid = min(max(self.spec.grid, self.spec.adm_grid), 64)
+            self._equilibria = {
+                g.name: md.critical_points(self.spec.system, g, grid=grid)
+                for g in self.spec.controls}
+        return self._equilibria
+
     def signs(self):
         if self._signs is None:
             self._signs = md.admissibility_map(
                 self.spec.system, self.spec.controls, self.spec.families,
-                grid=self.spec.adm_grid)
+                grid=self.spec.adm_grid, equilibria=self.equilibria())
         return self._signs
 
     def complex(self):
@@ -173,7 +184,8 @@ class Pipeline:
         if self._bounds is None:
             self._bounds = bd.compute_bounds(
                 self.spec.system, self.spec.controls, self.spec.families,
-                self.slices(), grid=self.spec.grid)
+                self.slices(), grid=self.spec.grid,
+                equilibria=self.equilibria())
         return self._bounds
 
     def automaton(self, mode="cells"):
@@ -265,13 +277,13 @@ def _load_strategy(arg, complex):
 
 def cmd_validate(args):
     spec = SystemSpec.load(args.spec)
+    pipe = Pipeline(spec)
     report = {"spec": os.path.basename(args.spec), "families": [], "controls": {}}
     for fam in spec.families:
         lv = md.validate_levels(fam, spec.box, grid=spec.adm_grid)
         report["families"].append(lv.to_dict())
-        pt.build_slices(fam, spec.box, grid=spec.grid)
-    signs = md.admissibility_map(
-        spec.system, spec.controls, spec.families, grid=spec.adm_grid)
+    pipe.slices()     # raises CoverageError where a stack leaves the box
+    signs = pipe.signs()
     for g in spec.controls:
         report["controls"][g.name] = {
             "family_%d" % fam.index: {} for fam in spec.families}

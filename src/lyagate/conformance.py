@@ -22,7 +22,6 @@ from . import sim as sm
 from . import tga as ta
 
 SANDWICH_TOL = 1e-6
-TANGENCY_TOL = 1e-9
 # largest acceptable HybridTrace.step_error: a tenth of epsilon_t's 1e-6
 # modelling slack, so the integrator never uses up the replay tolerance
 STEP_ERROR_BUDGET = 1e-7
@@ -277,8 +276,8 @@ def initial_valuation(tga, complex, cell, control, x0):
     return tuple(pairs)
 
 
-def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
-                seed=0, *, controls, eps=None):
+def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step, seed=0,
+                *, controls):
     """Embed simulated closed-loop traces into the restricted automaton.
 
     Draws ``samples`` start states uniformly from the given cells, simulates
@@ -287,12 +286,10 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step=None,
     automaton cannot reproduce is recorded as a violation; with sound bounds
     there must be none. The report also records the step and the largest
     ``HybridTrace.step_error``, to be held against ``STEP_ERROR_BUDGET``.
+    Replayed guards and invariants get the tolerance ``epsilon_t(step)``.
     """
     complex = tga.complex
-    if step is None:
-        step = sm.default_step(sys, controls, complex.families)
-    if eps is None:
-        eps = epsilon_t(step)
+    eps = epsilon_t(step)
 
     restricted = gm.restrict(tga, strategy)
     rng = np.random.default_rng(seed)

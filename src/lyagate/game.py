@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from .errors import StrategyError
 from .tga import FamilyUpdate, Location, TimedGameAutomaton, Transition, compose
 
+REACH_ITERS_PER_LOCATION = 64   # worklist pops before reach gives up
+
 
 @dataclass(frozen=True)
 class GameObjective:
@@ -296,7 +298,7 @@ class ReachResult:
         return set(self.items)
 
 
-def reach_locations(tga, initial, horizon, max_iters=None):
+def reach_locations(tga, initial, horizon):
     """Forward exploration with one interval box per clock pair.
 
     Entry valuations are over-approximated by per-component intervals; a
@@ -317,8 +319,7 @@ def reach_locations(tga, initial, horizon, max_iters=None):
         times[name] = (0.0, 0.0)
         work.append(name)
 
-    if max_iters is None:
-        max_iters = 64 * max(1, len(tga.locations))
+    max_iters = REACH_ITERS_PER_LOCATION * max(1, len(tga.locations))
     iters = 0
     converged = True
     while work:

@@ -21,6 +21,8 @@ from .errors import (
 
 EPS_REG = 1e-6        # minimum gradient norm for a level to count as regular
 R_CRIT = 1e-3         # exclusion radius around critical points of f_g
+CRIT_CANDIDATES = 32  # grid minima of |f_g|^2 polished by Newton
+LEVEL_SAMPLES = 256   # grid points polished onto a level by sample_level_set
 _NEWTON_ITERS = 30
 _CRIT_RESIDUAL = 1e-8
 
@@ -165,6 +167,17 @@ class PartitioningFamily:
         """Closed band [a_{h-1}, a_h] for 1-based slice index h."""
         return self.levels[h - 1], self.levels[h]
 
+    @property
+    def band_tol(self):
+        return 1e-9 * max(1.0, abs(self.levels[0]), abs(self.levels[-1]))
+
+    def band_mask(self, h, vals):
+        """Which phi values lie in band h, closed and widened by ``band_tol``:
+        the one band-membership rule of slices, admissibility, dwell extrema
+        and the default step."""
+        lo, hi = self.band(h)
+        return (vals >= lo - self.band_tol) & (vals <= hi + self.band_tol)
+
     def gradient(self, n):
         return tuple(ex.differentiate(self.phi, "x%d" % (j + 1)) for j in range(n))
 
@@ -199,12 +212,12 @@ def lie_derivative(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily):
     return LieDerivative(control=g.name, family=fam.index, expression=total)
 
 
-def critical_points(sys: ControlSystem, g: ControlLaw, grid=64, max_candidates=32):
+def critical_points(sys: ControlSystem, g: ControlLaw, grid=64):
     """Equilibria of the closed-loop field inside the domain.
 
     Grid scan for local minima of |f_g|^2, then damped Newton with the
-    symbolic Jacobian; points are kept when the residual polishes below
-    1e-8 and deduplicated within 1e-6.
+    symbolic Jacobian from the ``CRIT_CANDIDATES`` smallest; points are kept
+    when the residual polishes below 1e-8 and deduplicated within 1e-6.
     """
     fg = sys.closed_loop(g)
     comps = [ex.compile_vector(c) for c in fg]
@@ -218,7 +231,7 @@ def critical_points(sys: ControlSystem, g: ControlLaw, grid=64, max_candidates=3
     from scipy.ndimage import minimum_filter
     local_min = sq_nd <= minimum_filter(sq_nd, size=3, mode="nearest")
     cand_idx = np.flatnonzero(local_min.ravel())
-    cand_idx = cand_idx[np.argsort(sq[cand_idx], kind="stable")][:max_candidates]
+    cand_idx = cand_idx[np.argsort(sq[cand_idx], kind="stable")][:CRIT_CANDIDATES]
 
     field_fn = ex.compile_field(fg)
     jac_exprs = tuple(tuple(ex.differentiate(fi, "x%d" % (j + 1)) for j in range(sys.n))
@@ -257,18 +270,10 @@ def critical_points(sys: ControlSystem, g: ControlLaw, grid=64, max_candidates=3
     return found
 
 
-def _band_masks(fam, phi_vals):
-    """Masks of grid points per 1-based band index (closed bands)."""
-    masks = {}
-    for h in range(1, fam.band_count + 1):
-        lo, hi = fam.band(h)
-        masks[h] = (phi_vals >= lo) & (phi_vals <= hi)
-    return masks
-
-
 def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily,
-                        grid=128, r_crit=R_CRIT, crit=None):
-    """Slice-wise strict sign of phidot_g, excluding r_crit-balls around equilibria.
+                        grid=128, *, equilibria):
+    """Slice-wise strict sign of phidot_g, excluding R_CRIT-balls around the
+    ``equilibria`` of the closed loop (``critical_points`` of g).
 
     Returns {slice index: +1 | -1}. Raises AdmissibilityError with a pair of
     opposite-sign witness points when any slice mixes signs (or hits an exact
@@ -280,16 +285,14 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
     pts = sys.domain.grid(grid)
     phi_vals = phi_v(pts)
     vals = phid(pts)
-    if crit is None:
-        crit = critical_points(sys, g, grid=min(grid, 64))
 
     keep = np.ones(len(pts), dtype=bool)
-    for p in crit:
-        keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > r_crit
+    for p in equilibria:
+        keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > R_CRIT
 
     signs = {}
-    for h, band_mask in _band_masks(fam, phi_vals).items():
-        mask = band_mask & keep
+    for h in range(1, fam.band_count + 1):
+        mask = fam.band_mask(h, phi_vals) & keep
         if not mask.any():
             continue
         v = vals[mask]
@@ -313,14 +316,15 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
     return signs
 
 
-def admissibility_map(sys, controls, families, grid=128):
-    """Signs for every (family, slice, control); raises on the first violation."""
-    crits = [critical_points(sys, g, grid=min(grid, 64)) for g in controls]
+def admissibility_map(sys, controls, families, grid=128, *, equilibria):
+    """Signs for every (family, slice, control), given each control's
+    ``critical_points`` by name; raises on the first violation."""
     signs = {}
     for fam in families:
-        for g, crit in zip(controls, crits):
-            for h, s in check_admissibility(sys, g, fam, grid=grid,
-                                            crit=crit).items():
+        for g in controls:
+            for h, s in check_admissibility(
+                    sys, g, fam, grid=grid,
+                    equilibria=equilibria[g.name]).items():
                 signs[(fam.index, h, g.name)] = s
     return signs
 
@@ -384,8 +388,8 @@ def _level_points(fam, level, box, grid, limit, tol):
     return x[np.abs(phi_v(x) - level) <= tol * scale]
 
 
-def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG):
-    """Check that level sets inside the box are regular (|grad phi| >= eps_reg).
+def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
+    """Check that level sets inside the box are regular (|grad phi| >= EPS_REG).
 
     The floor level a_0 is exempt when it lies at or below the sampled minimum
     of phi on the box: there the first band has no inner boundary to cross.
@@ -412,12 +416,14 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128, eps_reg=EPS_REG
         imin = int(np.argmin(gnorm))
         report.min_grad[a] = float(gnorm[imin])
         report.samples[a] = len(kept)
-        if gnorm[imin] < eps_reg:
+        if gnorm[imin] < EPS_REG:
             raise DegenerateLevelError(fam.index, a, kept[imin], float(gnorm[imin]))
     return report
 
 
-def sample_level_set(fam, level, box, grid=128, limit=256):
-    """Polished points on phi = level inside the box (may be empty)."""
+def sample_level_set(fam, level, box, grid=128):
+    """Points on phi = level inside the box, polished from the
+    ``LEVEL_SAMPLES`` nearest grid points (may be empty)."""
     return [tuple(p) for p in
-            _level_points(fam, level, box, grid, limit, tol=1e-9).tolist()]
+            _level_points(fam, level, box, grid, LEVEL_SAMPLES,
+                          tol=1e-9).tolist()]

@@ -31,6 +31,7 @@ DEFAULT_GRID = 64
 MAX_FACET_POINTS = 32
 EPS_FACE = 1e-9          # relative half-width of the boundary tag in locate()
 LEVEL_EPS_FACE = 1e-7    # the same for points sampled on a level
+_BISECT_ITERS = 60       # halvings of a grid edge onto its level
 
 
 @dataclass(frozen=True)
@@ -51,24 +52,20 @@ def build_slices(fam: PartitioningFamily, box: Box, grid=DEFAULT_GRID):
     """One slice per consecutive level pair whose band meets the box.
 
     Raises CoverageError when a grid sample of phi falls outside
-    [a_0, a_k]; the stack must cover the whole box.
+    [a_0, a_k], widened by ``fam.band_tol``; the stack must cover the whole
+    box. A band meets the box when ``fam.band_mask`` holds a grid sample.
     """
     pts = box.grid(grid)
     vals = ex.compile_vector(fam.phi)(pts)
     a0, ak = fam.levels[0], fam.levels[-1]
-    tol = 1e-9 * max(1.0, abs(a0), abs(ak))
     imin, imax = int(np.argmin(vals)), int(np.argmax(vals))
-    if vals[imin] < a0 - tol:
+    if vals[imin] < a0 - fam.band_tol:
         raise CoverageError(fam.index, float(vals[imin]), pts[imin], a0, ak)
-    if vals[imax] > ak + tol:
+    if vals[imax] > ak + fam.band_tol:
         raise CoverageError(fam.index, float(vals[imax]), pts[imax], a0, ak)
-
-    out = []
-    for h in range(1, fam.band_count + 1):
-        lo, hi = fam.band(h)
-        if ((vals >= lo - tol) & (vals <= hi + tol)).any():
-            out.append(Slice(family=fam.index, index=h, lo=lo, hi=hi))
-    return out
+    return [Slice(fam.index, h, *fam.band(h))
+            for h in range(1, fam.band_count + 1)
+            if fam.band_mask(h, vals).any()]
 
 
 @dataclass(frozen=True)
@@ -220,15 +217,15 @@ class CellComplex:
 
     def _level_samples(self, family_index, level):
         """The crossable samples of one level, built once per complex: the
-        points of ``model.sample_level_set``, in its order, less those where
-        the gradient vanishes."""
+        distinct points of ``model.sample_level_set``, each where it first
+        occurs, less those where the gradient vanishes."""
         key = (family_index, float(level))
         if key not in self._level_cache:
             fam = self._family(family_index)
             grad_fns, thresh = self._gradient_of(fam)
             pts, norms = [], []
-            for p in md.sample_level_set(fam, level, self.box,
-                                         grid=min(self.grid, 64)):
+            for p in dict.fromkeys(md.sample_level_set(
+                    fam, level, self.box, grid=min(self.grid, 64))):
                 gn = math.sqrt(sum(fn(p) ** 2 for fn in grad_fns))
                 if gn > thresh:
                     pts.append(p)
@@ -337,22 +334,22 @@ class LocateResult:
     boundary_families: tuple
 
 
-def _bisect_crossings(p, q, phi_v, levels, iters=60):
+def _bisect_crossings(p, q, phi_v, levels):
     """Points on the segments [p, q] where phi crosses each row's level.
 
     p and q are (k, n) arrays, ``levels`` a (k,) array and ``phi_v`` phi
     compiled by ``expr.compile_vector``. Each row's probe is
     ``p + t * (q - p)``, and the result is a (k, n) array.
 
-    Each row halves [0, 1] at most ``iters`` times and stops early once its
-    midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so the row
-    ends where the full count ends it. ``stat_lo`` only takes the value of
-    a probe on the same side as ``phi(p) - level``, and ``hi`` only moves to
-    a probe on the other side. If ``mid == lo`` with ``lo > 0``, the probe
-    repeats the one that set ``lo`` and ``stat_lo``, so it lands on the same
-    side and changes nothing (``lo == 0`` cannot recur, as ``hi`` stays at or
-    above 2**-iters). If ``mid == hi < 1``, the probe repeats the one that
-    set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then
+    Each row halves [0, 1] at most ``_BISECT_ITERS`` times and stops early
+    once its midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so
+    the row ends where the full count ends it. ``stat_lo`` only takes the
+    value of a probe on the same side as ``phi(p) - level``, and ``hi`` only
+    moves to a probe on the other side. If ``mid == lo`` with ``lo > 0``, the
+    probe repeats the one that set ``lo`` and ``stat_lo``, so it lands on the
+    same side and changes nothing (``lo == 0`` cannot recur, as ``hi`` stays
+    at or above 2**-_BISECT_ITERS). If ``mid == hi < 1``, the probe repeats
+    the one that set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then
     ``lo == 1 - 2**-53`` and the probe may set ``lo`` to 1.0, but both before
     and after, ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later
     midpoints, and the final ``t = 0.5 * (lo + hi)``, stay the same.
@@ -362,7 +359,7 @@ def _bisect_crossings(p, q, phi_v, levels, iters=60):
     lo = np.zeros(len(p))
     hi = np.ones(len(p))
     rows = np.arange(len(p))
-    for _ in range(iters):
+    for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo[rows] + hi[rows])
         moving = (mid != lo[rows]) & (mid != hi[rows])
         rows, mid = rows[moving], mid[moving]

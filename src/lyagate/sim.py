@@ -56,6 +56,7 @@ _EVENT_NUDGE = 1e-9      # fraction of a step used to probe the far side
 CHATTER_LIMIT = 10       # more events than this in as many steps is chattering
 STEP_GRID = 32           # points per axis of the grid default_step reads
 STEP_FRACTION = 1e-2     # of the fastest band traversal, per step
+_EVENT_ITERS = 80        # most halvings of a step that locate an event
 
 
 @dataclass
@@ -157,10 +158,10 @@ def default_step(sys, controls, families):
     """RK4 step: ``STEP_FRACTION`` of the fastest band traversal on the grid.
 
     For every (family, band, control) the band's gap divided by the largest
-    ``|L_g phi|`` over the ``STEP_GRID`` points inside the band is a lower
-    estimate of the time the closed loop needs to cross that band (the
-    abstraction's own ``t_lo``). The step is ``STEP_FRACTION`` times the
-    smallest of these, so every band gets at least about
+    ``|L_g phi|`` over the ``STEP_GRID`` points in the band (``band_mask``)
+    is a lower estimate of the time the closed loop needs to cross that
+    band (the abstraction's own ``t_lo``). The step is ``STEP_FRACTION``
+    times the smallest of these, so every band gets at least about
     ``1 / STEP_FRACTION`` steps. A band with no grid point in it does not
     count; ``simulate_closed_loop`` measures the error this step causes on
     every trace (``HybridTrace.step_error``).
@@ -168,10 +169,12 @@ def default_step(sys, controls, families):
     pts = sys.domain.grid(STEP_GRID)
     fastest = float("inf")
     for fam in families:
-        masks = md._band_masks(fam, ex.compile_vector(fam.phi)(pts))
+        vals = ex.compile_vector(fam.phi)(pts)
+        masks = [(h, fam.band_mask(h, vals))
+                 for h in range(1, fam.band_count + 1)]
         for g in controls:
             rate = np.abs(md.lie_derivative(sys, g, fam).vector_function()(pts))
-            for h, mask in masks.items():
+            for h, mask in masks:
                 vmax = float(rate[mask].max()) if mask.any() else 0.0
                 if vmax > 0.0:
                     lo, hi = fam.band(h)
@@ -387,19 +390,20 @@ def _step_error(step_fn, x, xn, step, t, value):
     return diff / rate if rate > 0.0 else float("inf")
 
 
-def _bisect_event(fun, step, f0, tol=EVENT_TIME_TOL, iters=80):
-    """First zero of fun on (0, step]; fun(step) has the opposite sign of f0."""
+def _bisect_event(fun, step, f0):
+    """First zero of fun on (0, step], to within EVENT_TIME_TOL; fun(step)
+    has the opposite sign of f0."""
     s0 = f0 > 0
     if (fun(step) > 0) == s0:
         # already past the edge at the start of the step: immediate event
-        return min(tol, step)
+        return min(EVENT_TIME_TOL, step)
     lo, hi = 0.0, step
-    for _ in range(iters):
+    for _ in range(_EVENT_ITERS):
         mid = 0.5 * (lo + hi)
         if (fun(mid) > 0) == s0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < EVENT_TIME_TOL:
             break
     return hi

@@ -106,7 +106,6 @@ class TimedGameAutomaton:
         self.signs = dict(signs)
         self.complex = complex
         self.diagnostics = dict(diagnostics or {})
-        self.sink_name = "sink"
         self._by_source = {}
         for t in self.transitions:
             self._by_source.setdefault(t.source, []).append(t)
@@ -351,7 +350,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
                         "control %s: no admissibility grid point lies in the "
                         "slice; raise grid.admissibility"
                         % (fam.index, h, g.name))
-                t_hi = bounds.t_hi(fam.index, h, g.name)
+                t_hi = bounds.timing(fam.index, h, g.name).t_hi
                 if math.isfinite(t_hi):
                     inv.append((fam.index, t_hi))
             if inv:
@@ -383,7 +382,7 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
             h_src = zone_by_id[src].y[fam_pos[fam_idx]]
             if sign_table[(fam_idx, h_src, g.name)] != sgn:
                 raise FacetSignConflictError(za, zb, fam_idx, g.name, vals)
-            guard = ((fam_idx, bounds.t_lo(fam_idx, h_src, g.name)),)
+            guard = ((fam_idx, bounds.timing(fam_idx, h_src, g.name).t_lo),)
             transitions.append(Transition(
                 source=loc_name(src, g.name), target=loc_name(dst, g.name),
                 action="u%d" % fam_idx, kind="u", guard=guard,
@@ -414,7 +413,8 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
                 transitions.append(Transition(
                     source=loc_name(z.id, g.name), target="sink",
                     action="u%d" % fam.index, kind="u",
-                    guard=((fam.index, bounds.t_lo(fam.index, h, g.name)),),
+                    guard=((fam.index,
+                            bounds.timing(fam.index, h, g.name).t_lo),),
                     update=UpdateMap.of({fam.index: RESET}), family=fam.index))
 
     # controllable switches between controls within a zone
@@ -448,26 +448,12 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
 # Semantics
 # ---------------------------------------------------------------------------
 
-def _guard_ok(guard, v, tol=GUARD_TOL):
+def _guard_ok(guard, v, tol):
     return all(v[fam - 1][1] >= thr - tol for fam, thr in guard)
 
 
-def _invariant_ok(inv, v, tol=GUARD_TOL):
+def _invariant_ok(inv, v, tol):
     return all(v[fam - 1][0] <= bound + tol for fam, bound in inv)
-
-
-def enabled(state, tga):
-    """Transitions fireable now: guard satisfied, target invariant respected."""
-    name, v = state
-    out = []
-    for t in tga.outgoing(name):
-        if not _guard_ok(t.guard, v):
-            continue
-        v2 = _apply_raw(v, t.update)
-        if not _invariant_ok(tga.invariant_of(t.target), v2):
-            continue
-        out.append(t)
-    return out
 
 
 @dataclass

@@ -29,11 +29,15 @@ class Example1D:
             levels=(0.0, 1.0, 9.0))
         self.families = [self.fam]
         self.slices = {1: lg.build_slices(self.fam, self.box, grid=grid)}
+        self.equilibria = {g.name: lg.critical_points(self.sys, g)
+                           for g in self.controls}
         self.signs = lg.admissibility_map(
-            self.sys, self.controls, self.families, grid=128)
+            self.sys, self.controls, self.families, grid=128,
+            equilibria=self.equilibria)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
         self.bounds = lg.compute_bounds(
-            self.sys, self.controls, self.families, self.slices, grid=grid)
+            self.sys, self.controls, self.families, self.slices, grid=grid,
+            equilibria=self.equilibria)
         self.tga = lg.build_tga(self.sys, self.complex, self.controls,
                                 self.bounds, self.signs, mode="cells")
         by_label = {c.label: c.id for c in self.complex.cells}
@@ -70,11 +74,15 @@ class PhasePlane:
         self.families = [self.fam1, self.fam2]
         self.slices = {f.index: lg.build_slices(f, self.box, grid=grid)
                        for f in self.families}
+        self.equilibria = {g.name: lg.critical_points(self.sys, g)
+                           for g in self.controls}
         self.signs = lg.admissibility_map(
-            self.sys, self.controls, self.families, grid=grid)
+            self.sys, self.controls, self.families, grid=grid,
+            equilibria=self.equilibria)
         self.complex = lg.build_cells(self.families, self.box, grid=grid)
         self.bounds = lg.compute_bounds(
-            self.sys, self.controls, self.families, self.slices, grid=grid)
+            self.sys, self.controls, self.families, self.slices, grid=grid,
+            equilibria=self.equilibria)
         self.tga = lg.build_tga(self.sys, self.complex, self.controls,
                                 self.bounds, self.signs, mode="cells")
         self.goal = [c.id for c in self.complex.cells if c.y[0] == 2]

@@ -31,9 +31,12 @@ class TestExtremal:
         assert e.sup_abs == pytest.approx(18.0, rel=REL)
 
     def test_empty_slice(self, ex1d):
+        fam = lg.PartitioningFamily(index=1, phi=ex1d.fam.phi,
+                                    levels=(100.0, 200.0))
         slc = lg.Slice(family=1, index=1, lo=100.0, hi=200.0)
         with pytest.raises(EmptySliceError):
-            lg.extremal_lie_derivative(slc, ex1d.g0, ex1d.fam, ex1d.sys)
+            lg.extremal_lie_derivative(slc, ex1d.g0, fam, ex1d.sys,
+                                       equilibria=ex1d.equilibria["g0"])
 
     def test_extrema_bracket_random_samples(self, ex1d):
         """10^4 random slice points stay within [inf - 1e-9, sup + 1e-9]."""

@@ -197,9 +197,12 @@ def test_random_systems_sound(seed, dim):
     rng = np.random.default_rng(100 + seed)
     sysr, g, fam = _random_linear_system(rng, dim)
     slices = {1: lg.build_slices(fam, sysr.domain, grid=64)}
-    signs = lg.admissibility_map(sysr, [g], [fam], grid=64)
+    equilibria = {g.name: lg.critical_points(sysr, g)}
+    signs = lg.admissibility_map(sysr, [g], [fam], grid=64,
+                                 equilibria=equilibria)
     cx = lg.build_cells([fam], sysr.domain, grid=64)
-    tbl = lg.compute_bounds(sysr, [g], [fam], slices, grid=64)
+    tbl = lg.compute_bounds(sysr, [g], [fam], slices, grid=64,
+                            equilibria=equilibria)
     auto = lg.build_tga(sysr, cx, [g], tbl, signs)
     kappa = {c: "hold" for c in cx.cell_ids()}
     rep = cf.check_sound(sysr, auto, kappa, cx.cell_ids(), samples=50,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import lyagate as lg
 from lyagate import expr as ex
@@ -49,15 +50,18 @@ class TestLieDerivative:
 
 class TestAdmissibility:
     def test_signs_1d(self, ex1d):
-        t0 = lg.check_admissibility(ex1d.sys, ex1d.g0, ex1d.fam)
+        t0 = lg.check_admissibility(ex1d.sys, ex1d.g0, ex1d.fam,
+                                    equilibria=ex1d.equilibria["g0"])
         assert t0 == {1: -1, 2: -1}
-        t2 = lg.check_admissibility(ex1d.sys, ex1d.g2x, ex1d.fam)
+        t2 = lg.check_admissibility(ex1d.sys, ex1d.g2x, ex1d.fam,
+                                    equilibria=ex1d.equilibria["g2x"])
         assert t2 == {1: 1, 2: 1}
 
     def test_g15_violation(self, ex1d):
         g = lg.ControlLaw("g15", (ex.parse_expression("1.5", 1, 0),))
         with pytest.raises(AdmissibilityError) as err:
-            lg.check_admissibility(ex1d.sys, g, ex1d.fam)
+            lg.check_admissibility(ex1d.sys, g, ex1d.fam,
+                                   equilibria=lg.critical_points(ex1d.sys, g))
         e = err.value
         assert e.slice_index == 1
         # opposite-sign witnesses, values matching the oracle formula
@@ -91,25 +95,44 @@ class TestAdmissibility:
             assert np.all(np.sign(vals) == sgn)
 
 
-    def test_map_finds_critical_points_once_per_control(self, nav2d,
-                                                        monkeypatch):
-        calls = []
-        real = md.critical_points
-
-        def counting(sys, g, *args, **kwargs):
-            calls.append(g.name)
-            return real(sys, g, *args, **kwargs)
-
-        monkeypatch.setattr(md, "critical_points", counting)
+    def test_map_is_the_per_control_checks(self, nav2d, monkeypatch):
+        """The map reads the equilibria it is given and searches none."""
+        monkeypatch.setattr(md, "critical_points", None)
         signs = lg.admissibility_map(nav2d.sys, nav2d.controls,
-                                     nav2d.families, grid=48)
-        assert calls == [g.name for g in nav2d.controls]
-        calls.clear()
+                                     nav2d.families, grid=48,
+                                     equilibria=nav2d.equilibria)
         assert signs == {(f.index, h, g.name): s
                          for f in nav2d.families for g in nav2d.controls
                          for h, s in lg.check_admissibility(
-                             nav2d.sys, g, f, grid=48).items()}
-        assert len(calls) == len(nav2d.families) * len(nav2d.controls)
+                             nav2d.sys, g, f, grid=48,
+                             equilibria=nav2d.equilibria[g.name]).items()}
+
+
+_LEVELS = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=6,
+                   unique=True).map(sorted).filter(
+    lambda lv: all(b > a for a, b in zip(lv, lv[1:])))
+
+
+@given(levels=_LEVELS,
+       offsets=st.lists(st.floats(-3e-9, 3e-9), min_size=1, max_size=8))
+def test_band_mask_contains_the_rules_it_replaced(levels, offsets):
+    """``band_mask`` holds every value that the closed band without
+    tolerance, or widened by 1e-12 * max(1, |lo|, |hi|), holds, for values
+    on, just inside and just outside every level of a random stack."""
+    fam = lg.PartitioningFamily(index=1, phi=ex.parse_expression("x1", 1, 0),
+                                levels=tuple(levels))
+    vals = [a + r * max(1.0, abs(a)) for a in levels for r in offsets + [0.0]]
+    vals += [math.nextafter(a, d) for a in levels for d in (-math.inf, math.inf)]
+    vals = np.array(vals)
+    for h in range(1, fam.band_count + 1):
+        lo, hi = fam.band(h)
+        got = fam.band_mask(h, vals)
+        exact = (vals >= lo) & (vals <= hi)
+        tol = 1e-12 * max(1.0, abs(lo), abs(hi))
+        narrow = (vals >= lo - tol) & (vals <= hi + tol)
+        assert not (exact & ~got).any()
+        assert not (narrow & ~got).any()
+        assert exact.any() and got[np.isin(vals, (lo, hi))].all()
 
 
 class TestValidateLevels:

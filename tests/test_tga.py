@@ -113,7 +113,7 @@ class TestFacetSignConflict:
         complex = lg.build_cells([fam], box, grid=17)
         bounds = lg.compute_bounds(
             sys2, [g], [fam], {1: lg.build_slices(fam, box, grid=17)},
-            grid=17)
+            grid=17, equilibria={"g": lg.critical_points(sys2, g)})
         signs = {(1, 1, "g"): 1, (1, 2, "g"): 1}
         with pytest.raises(FacetSignConflictError) as err:
             lg.build_tga(sys2, complex, [g], bounds, signs)
@@ -288,16 +288,30 @@ def test_compose_applies_in_order(first, then, v):
 
 
 class TestEnabled:
+    """Which edges fire, asked through ``run_feasible``, the automaton's one
+    firing rule: a step taken at once from a given start valuation."""
+
     def test_guard_gates_uncontrollable(self, ex1d):
         name = loc(ex1d, "right", "g0")
-        en = ta.enabled((name, ((0.5, 0.5),)), ex1d.tga)
-        kinds = sorted(t.kind for t in en)
-        assert kinds == ["c", "u"]
-        en2 = ta.enabled((name, ((0.1, 0.1),)), ex1d.tga)
-        assert [t.kind for t in en2] == ["c"]
+        crossing = [(name, 0.0), (loc(ex1d, "mid", "g0"), 0.0)]
+        fired = ta.run_feasible(ex1d.tga, crossing,
+                                initial_valuation=((0.5, 0.5),))
+        assert fired.feasible
+        # c2 = 0.1 is below the crossing's guard c2 >= t_lo = 4/9
+        refused = ta.run_feasible(ex1d.tga, crossing,
+                                  initial_valuation=((0.1, 0.1),))
+        assert not refused.feasible
+        assert [v["kind"] for v in refused.violations] == ["guard"]
+        switch = [(name, 0.0), (loc(ex1d, "right", "g2x"), 0.0)]
+        assert ta.run_feasible(ex1d.tga, switch,
+                               initial_valuation=((0.1, 0.1),)).feasible
 
     def test_sink_absorbing(self, ex1d):
-        assert ta.enabled(("sink", ((0.0, 0.0),)), ex1d.tga) == []
+        assert ex1d.tga.outgoing("sink") == []
+        for cell in ("left", "mid", "right"):
+            rep = ta.run_feasible(ex1d.tga, [("sink", 0.0),
+                                             (loc(ex1d, cell, "g0"), 1.0)])
+            assert [v["kind"] for v in rep.violations] == ["missing-edge"]
 
 
 class TestRunFeasible:

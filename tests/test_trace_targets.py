@@ -83,12 +83,39 @@ def test_point_location_goes_through_module_attributes(ex1d, monkeypatch):
     assert calls["locate"] - before >= len(crossings) > 0
 
 
-@pytest.mark.parametrize("spec,most", [("example1d", 4), ("phase_plane", 0)])
+SPEC_DIR = os.path.join(os.path.dirname(os.path.dirname(TRACER)),
+                        "demos", "specs")
+
+
+@pytest.mark.parametrize("spec", ["example1d", "phase_plane"])
+def test_build_searches_equilibria_once_per_control(spec, monkeypatch):
+    """Building both automata on a fresh Pipeline calls
+    `lyagate.model.critical_points` once per control: admissibility and
+    bounds both read `Pipeline.equilibria`."""
+    import lyagate.cli as cli
+    import lyagate.model as md
+
+    calls = []
+    real = md.critical_points
+
+    def counting(sys, g, *args, **kwargs):
+        calls.append(g.name)
+        return real(sys, g, *args, **kwargs)
+
+    monkeypatch.setattr(md, "critical_points", counting)
+    pipe = cli.Pipeline(cli.SystemSpec.load(
+        os.path.join(SPEC_DIR, spec + ".json")))
+    for mode in ("cells", "extended-cells"):
+        pipe.automaton(mode)
+    assert calls == [g.name for g in pipe.spec.controls]
+
+
+@pytest.mark.parametrize("spec,most", [("example1d", 2), ("phase_plane", 0)])
 def test_automata_locate_only_band_matching_level_samples(spec, most,
                                                           monkeypatch):
     """Building both automata on a fresh complex locates only level samples
     listed under an asked cell's band tuple, each at most once: none on
-    phase_plane, and at most the 4 crossing points of example1d's level 9.
+    phase_plane, and at most the 2 crossing points of example1d's level 9.
     A scan of every sample (1020 per build on phase_plane) fails here."""
     import lyagate.cli as cli
     import lyagate.partition as pt
@@ -100,10 +127,8 @@ def test_automata_locate_only_band_matching_level_samples(spec, most,
         located.append(tuple(x))
         return real(x, *args, **kwargs)
 
-    spec_dir = os.path.join(os.path.dirname(os.path.dirname(TRACER)),
-                            "demos", "specs")
     pipe = cli.Pipeline(cli.SystemSpec.load(
-        os.path.join(spec_dir, spec + ".json")))
+        os.path.join(SPEC_DIR, spec + ".json")))
     pipe.complex()
     monkeypatch.setattr(pt, "locate", counting)
     for mode in ("cells", "extended-cells"):
@@ -112,7 +137,8 @@ def test_automata_locate_only_band_matching_level_samples(spec, most,
     if spec == "example1d":
         assert located            # the two outer cells touch level 9
         crossing = pipe.complex().level_crossing_points(1, 9.0)
-        # the scan locates only the samples the build did not (the sampler
-        # returns each of the points -3 and 3 twice)
-        assert len(crossing) == 4
+        # the scan locates only the samples the build did not; the sampler
+        # returns each of the points -3 and 3 twice, and the complex keeps
+        # each once
+        assert len(crossing) == 2
         assert sorted(located) == sorted(p for p, _, _ in crossing)
