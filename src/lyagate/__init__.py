@@ -31,8 +31,8 @@ from .tga import (
     zero_valuation,
 )
 from .game import (
-    GameObjective, SynthesisResult, synthesize, synthesize_safety,
-    synthesize_reach, restrict, reach_locations,
+    SynthesisResult, synthesize_safety, synthesize_reach, restrict,
+    reach_locations,
 )
 from .sim import Trajectory, HybridTrace, simulate_closed_loop, default_step
 from .conformance import (

@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def format_point(x):
+    """Coordinates as ``(a, b, ...)`` with %g, whatever their float type."""
+    return "(%s)" % ", ".join("%g" % v for v in x)
+
+
 class LyagateError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -29,7 +34,8 @@ class EvalDomainError(LyagateError):
     """Evaluation left the expression's domain (division by zero, sqrt of a negative)."""
 
     def __init__(self, reason, x, u):
-        super().__init__("%s at x=%s, u=%s" % (reason, tuple(x), tuple(u)))
+        super().__init__("%s at x=%s, u=%s"
+                         % (reason, format_point(x), format_point(u)))
         self.reason = reason
         self.x = tuple(x)
         self.u = tuple(u)
@@ -64,11 +70,11 @@ class DegenerateLevelError(LyagateError):
     def __init__(self, family, level, point, grad_norm):
         super().__init__(
             "level %g of family %d is degenerate: |grad phi| = %g at %s"
-            % (level, family, grad_norm, tuple(point))
+            % (level, family, grad_norm, format_point(point))
         )
         self.family = family
         self.level = level
-        self.point = tuple(point)
+        self.point = tuple(float(v) for v in point)
         self.grad_norm = grad_norm
 
 
@@ -77,12 +83,12 @@ class CoverageError(LyagateError):
 
     def __init__(self, family, value, point, lo, hi):
         super().__init__(
-            "family %d does not cover the domain: phi(%s) = %g outside [%g, %g]"
-            % (family, tuple(point), value, lo, hi)
+            "family %d does not cover the domain: phi%s = %g outside [%g, %g]"
+            % (family, format_point(point), value, lo, hi)
         )
         self.family = family
         self.value = value
-        self.point = tuple(point)
+        self.point = tuple(float(v) for v in point)
 
 
 class ResolutionError(LyagateError):

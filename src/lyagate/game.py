@@ -22,39 +22,6 @@ from .tga import FamilyUpdate, Location, TimedGameAutomaton, Transition, compose
 REACH_ITERS_PER_LOCATION = 64   # worklist pops before reach gives up
 
 
-@dataclass(frozen=True)
-class GameObjective:
-    """Either avoid a set of cells forever, or reach one (optionally in time)."""
-
-    kind: str                  # 'safety' | 'reach'
-    cells: tuple
-    horizon: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("safety", "reach"):
-            raise ValueError("objective kind must be 'safety' or 'reach'")
-        object.__setattr__(self, "cells", tuple(self.cells))
-        if self.horizon is not None and self.kind != "reach":
-            raise ValueError("horizon only applies to reach objectives")
-
-
-def synthesize(tga, objective: GameObjective):
-    """Dispatch on the objective; reach horizons prune slow winners."""
-    if objective.kind == "safety":
-        return synthesize_safety(tga, objective.cells)
-    result = synthesize_reach(tga, objective.cells)
-    if objective.horizon is not None:
-        keep = {c for c in result.winning
-                if result.bounds.get(c, math.inf) <= objective.horizon}
-        cells = set(tga.cells())
-        return SynthesisResult(
-            objective="reach", realizable=keep >= cells,
-            strategy=result.strategy, winning=keep,
-            bounds={c: b for c, b in result.bounds.items() if c in keep},
-            note=result.note)
-    return result
-
-
 @dataclass
 class SynthesisResult:
     objective: str

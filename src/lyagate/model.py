@@ -347,45 +347,57 @@ class LevelReport:
         }
 
 
-def _level_points(fam, level, box, grid, limit, tol):
-    """Points on phi = level, polished from the grid samples nearest the level.
+def _level_points(fam, levels, box, grid, limit, tol):
+    """Points on phi = a for each level a, polished from the grid samples
+    nearest that level, all levels in one Gauss-Newton loop.
 
-    The ``limit`` grid points whose phi value lies closest to the level are
-    projected together by Gauss-Newton, clipped to the box. A row stops once
-    its residual vanishes or its gradient degenerates, once a step leaves
-    its bits unchanged (a fixed point, so further steps would too), or after
-    40 steps.
+    For each level, the ``limit`` grid points whose phi value lies closest
+    to it are its candidates; each row carries its own level and scale
+    ``max(1, |a|)``, and every operation acts row by row, so a row ends
+    exactly where it would if its level were polished alone. The rows are
+    projected together, clipped to the box. A row stops once its residual
+    vanishes or its gradient degenerates, once a step leaves its bits
+    unchanged (a fixed point, so further steps would too), or after 40
+    steps.
     Rows whose final residual exceeds ``tol`` (relative to the level) are
-    dropped; the rest come back in candidate order as a (k, n) array.
+    dropped. Returns one (k, n) array per entry of ``levels``, its rows in
+    candidate order.
     """
     phi_v = ex.compile_vector(fam.phi)
     grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
     pts = box.grid(grid)
     vals = phi_v(pts)
     span = float(vals.max() - vals.min())
-    near = np.abs(vals - level)
-    cand = np.flatnonzero(near <= 4.0 * span / grid + 1e-12)
-    cand = cand[np.argsort(near[cand], kind="stable")][:limit]
-    x = pts[cand]
+    picks = []
+    for a in levels:
+        near = np.abs(vals - a)
+        cand = np.flatnonzero(near <= 4.0 * span / grid + 1e-12)
+        picks.append(cand[np.argsort(near[cand], kind="stable")][:limit])
+    counts = [len(c) for c in picks]
+    x = pts[np.concatenate(picks)]
+    level = np.repeat(np.asarray(levels, dtype=float), counts)
+    scale = np.maximum(1.0, np.abs(level))
     lo = np.asarray(box.lower)
     hi = np.asarray(box.upper)
-    scale = max(1.0, abs(level))
     rows = np.arange(len(x))
     for _ in range(40):
         if not len(rows):
             break
         xr = x[rows]
-        r = phi_v(xr) - level
+        r = phi_v(xr) - level[rows]
         grad = np.stack([gv(xr) for gv in grad_vs], axis=1)
         # row-wise BLAS dot: each row rounds exactly as ``g @ g`` would alone
         g2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
-        go = (np.abs(r) >= 1e-14 * scale) & (g2 >= 1e-30)
+        go = (np.abs(r) >= 1e-14 * scale[rows]) & (g2 >= 1e-30)
         rows = rows[go]
         old = xr[go]
         new = np.clip(old - r[go, None] * grad[go] / g2[go, None], lo, hi)
         x[rows] = new
         rows = rows[(new.view(np.uint64) != old.view(np.uint64)).any(axis=1)]
-    return x[np.abs(phi_v(x) - level) <= tol * scale]
+    keep = np.abs(phi_v(x) - level) <= tol * scale
+    cuts = np.cumsum(counts)[:-1]
+    return [block[ok] for block, ok in zip(np.split(x, cuts),
+                                           np.split(keep, cuts))]
 
 
 def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
@@ -393,6 +405,8 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
 
     The floor level a_0 is exempt when it lies at or below the sampled minimum
     of phi on the box: there the first band has no inner boundary to cross.
+    All checked levels are polished in one ``_level_points`` call; a level's
+    ``samples`` counts its distinct polished points.
     Raises DegenerateLevelError naming the level and a witness point otherwise.
     """
     phi_v = ex.compile_vector(fam.phi)
@@ -406,8 +420,8 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
     if not report.floor_exempt:
         to_check.insert(0, fam.levels[0])
 
-    for a in to_check:
-        kept = _level_points(fam, a, box, grid, limit=512, tol=1e-7)
+    for a, kept in zip(to_check, _level_points(fam, to_check, box, grid,
+                                                limit=512, tol=1e-7)):
         if not len(kept):
             report.min_grad[a] = math.inf
             report.samples[a] = 0
@@ -415,15 +429,16 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
         gnorm = np.sqrt(sum(gv(kept) ** 2 for gv in grad_vs))
         imin = int(np.argmin(gnorm))
         report.min_grad[a] = float(gnorm[imin])
-        report.samples[a] = len(kept)
+        report.samples[a] = len(np.unique(kept, axis=0))
         if gnorm[imin] < EPS_REG:
             raise DegenerateLevelError(fam.index, a, kept[imin], float(gnorm[imin]))
     return report
 
 
-def sample_level_set(fam, level, box, grid=128):
-    """Points on phi = level inside the box, polished from the
-    ``LEVEL_SAMPLES`` nearest grid points (may be empty)."""
-    return [tuple(p) for p in
-            _level_points(fam, level, box, grid, LEVEL_SAMPLES,
-                          tol=1e-9).tolist()]
+def sample_level_set(fam, levels, box, grid=128):
+    """Points on phi = a inside the box for each level a of ``levels``, each
+    polished from the ``LEVEL_SAMPLES`` nearest grid points, all in one
+    ``_level_points`` call; one list of point tuples (may be empty) per
+    level."""
+    return [[tuple(p) for p in block.tolist()] for block in
+            _level_points(fam, levels, box, grid, LEVEL_SAMPLES, tol=1e-9)]

@@ -23,7 +23,7 @@ from . import expr as ex
 from . import model as md
 from .errors import (
     CoverageError, EmptySliceError, ModelError, OutOfDomainError,
-    ResolutionError,
+    ResolutionError, format_point,
 )
 from .model import EPS_REG, Box, PartitioningFamily
 
@@ -149,6 +149,15 @@ class CellComplex:
         self._cells_by_y = {}
         for c, cols in zip(self.cells, columns):
             self._cells_by_y.setdefault(c.y, []).append((c.id, cols))
+        # the level-sample index: phi per family, and each band tuple with
+        # cells under its mixed-radix key (digit base: band count + 1)
+        self._phi_vectors = [ex.compile_vector(f.phi) for f in self.families]
+        self._y_by_key = {}
+        for y in self._cells_by_y:
+            key = 0
+            for f, h in zip(self.families, y):
+                key = key * (f.band_count + 1) + h
+            self._y_by_key[key] = y
         self._gradient_cache = {}
         self._level_cache = {}
         self._adj_by_cell = {}
@@ -183,7 +192,7 @@ class CellComplex:
         a level that only meets X at critical points (the floor of a Lyapunov
         stack) yields an empty list and cannot be crossed.
         """
-        samples = self._level_samples(family_index, level)
+        samples = self.sample_levels(family_index, [level])[0]
         out = []
         for row, (p, gn) in enumerate(zip(samples.points, samples.norms)):
             cells = self._cells_at(samples, row)
@@ -199,11 +208,14 @@ class CellComplex:
         located, in sample order. ``locate`` takes a point's cells from the
         product of its per-family ``_band_options``, and ``_rows_by_y``
         lists each sample under every band tuple of that product, with the
-        same phi and the same rule. A sample not listed under the cell's
-        band tuple therefore cannot hold the cell, and skipping it changes
-        no answer.
+        same rule on phi compiled for arrays. Both compiled forms of phi
+        round alike on ``+ - * /`` and squares. A sample lies within
+        LEVEL_EPS_FACE of its own level, so both bands beside that level are
+        options whichever side of it phi rounds to. A sample not listed
+        under the cell's band tuple therefore cannot hold the cell, and
+        skipping it changes no answer.
         """
-        samples = self._level_samples(family_index, level)
+        samples = self.sample_levels(family_index, [level])[0]
         return any(cell_id in (self._cells_at(samples, row) or ())
                    for row in samples.rows_by_y.get(self.cell(cell_id).y, ()))
 
@@ -215,47 +227,73 @@ class CellComplex:
                          "has %s" % (family_index,
                                      [f.index for f in self.families]))
 
-    def _level_samples(self, family_index, level):
-        """The crossable samples of one level, built once per complex: the
-        distinct points of ``model.sample_level_set``, each where it first
-        occurs, less those where the gradient vanishes."""
-        key = (family_index, float(level))
-        if key not in self._level_cache:
-            fam = self._family(family_index)
-            grad_fns, thresh = self._gradient_of(fam)
-            pts, norms = [], []
-            for p in dict.fromkeys(md.sample_level_set(
-                    fam, level, self.box, grid=min(self.grid, 64))):
-                gn = math.sqrt(sum(fn(p) ** 2 for fn in grad_fns))
-                if gn > thresh:
-                    pts.append(p)
-                    norms.append(gn)
-            self._level_cache[key] = _LevelSamples(
-                pts, norms, self._rows_by_y(pts), {})
-        return self._level_cache[key]
+    def sample_levels(self, family_index, levels):
+        """The crossable samples of each given level of one family, built
+        once per complex: the levels not built yet are polished together in
+        one ``model.sample_level_set`` call. A level's samples are the
+        distinct points the sampler returns, each where it first occurs,
+        less those where the gradient vanishes."""
+        fam = self._family(family_index)
+        new = [a for a in dict.fromkeys(map(float, levels))
+               if (family_index, a) not in self._level_cache]
+        if new:
+            grad_vs, thresh = self._gradient_of(fam)
+            for a, sampled in zip(new, md.sample_level_set(
+                    fam, new, self.box, grid=min(self.grid, 64))):
+                pts = np.array(list(dict.fromkeys(sampled)),
+                               dtype=float).reshape(-1, self.box.dim)
+                norms = np.sqrt(sum(g * g for g in (gv(pts) for gv in grad_vs)))
+                crossable = norms > thresh
+                pts = pts[crossable]
+                self._level_cache[family_index, a] = _LevelSamples(
+                    list(map(tuple, pts.tolist())), norms[crossable].tolist(),
+                    self._rows_by_y(pts), {})
+        return [self._level_cache[family_index, float(a)] for a in levels]
 
     def _rows_by_y(self, points):
         """Rows of ``points`` under each band tuple whose cells may hold them.
 
-        A row is listed under every band tuple with cells in the product of
-        its per-family ``_band_options`` at LEVEL_EPS_FACE, the set that
-        ``locate`` draws the row's cells from. A row where some phi is not
-        finite is listed nowhere, as ``locate`` refuses it.
+        A row is listed, in row order, under every band tuple with cells in
+        the product of its per-family band options at LEVEL_EPS_FACE, the
+        set that ``locate`` draws the row's cells from. This is
+        ``_band_options`` on whole columns: the band from ``searchsorted``,
+        clipped to the stack, and, when phi lies within reach of a level,
+        the bands on both sides of the first such level, clipped the same
+        way. A row where some phi is not finite is listed nowhere, as
+        ``locate`` refuses it.
         """
-        rows = {}
-        for row, p in enumerate(points):
-            options = []
-            for _, phi, levels, band_count in self._family_lookup:
-                v = phi(p)
-                if not math.isfinite(v):
-                    break
-                options.append(_band_options(v, levels, band_count,
-                                             LEVEL_EPS_FACE))
-            else:
-                for y in itertools.product(*options):
-                    if y in self._cells_by_y:
-                        rows.setdefault(y, []).append(row)
-        return rows
+        pts = np.asarray(points, dtype=float).reshape(-1, self.box.dim)
+        if not len(pts):
+            return {}
+        keys = np.zeros((len(pts), 1), dtype=np.int64)
+        finite = np.ones(len(pts), dtype=bool)
+        with np.errstate(all="ignore"):      # a non-finite phi is listed nowhere
+            for fam, phi_v in zip(self.families, self._phi_vectors):
+                v = phi_v(pts)
+                finite &= np.isfinite(v)
+                levels = np.asarray(fam.levels)
+                top = fam.band_count
+                h = np.clip(np.searchsorted(levels, v, side="left"), 1, top)
+                near = (np.abs(v[:, None] - levels)
+                        <= LEVEL_EPS_FACE * np.maximum(1.0, np.abs(levels)))
+                j = np.argmax(near, axis=1)       # the first level in reach
+                hit = near.any(axis=1)
+                options = np.stack([h, np.where(hit, np.maximum(j, 1), h),
+                                    np.where(hit, np.minimum(j + 1, top), h)],
+                                   axis=1)
+                keys = (keys[:, :, None] * (top + 1)
+                        + options[:, None, :]).reshape(len(pts), -1)
+        # one (key, row) code per distinct pair, sorted by key, then by row
+        rows = np.repeat(np.flatnonzero(finite), keys.shape[1])
+        codes = np.unique(keys[finite].ravel() * len(pts) + rows)
+        groups, starts = np.unique(codes // len(pts), return_index=True)
+        out = {}
+        for key, members in zip(groups.tolist(),
+                                np.split(codes % len(pts), starts[1:])):
+            y = self._y_by_key.get(key)
+            if y is not None:
+                out[y] = members.tolist()
+        return out
 
     def _cells_at(self, samples, row):
         """The cell ids ``locate`` gives a level sample, or None when it
@@ -270,18 +308,20 @@ class CellComplex:
         return located[row]
 
     def _gradient_of(self, fam):
-        """Compiled gradient of phi and its vanishing threshold, once per family.
+        """Gradient of phi compiled for arrays, and its vanishing threshold,
+        once per family.
 
         Points polishing toward a critical point end up with a vanishing
         gradient; they are filtered relative to the family's gradient scale
         over the grid.
         """
         if fam.index not in self._gradient_cache:
-            grad = fam.gradient(self.box.dim)
-            scale = float(np.sqrt(sum(ex.compile_vector(e)(self._points) ** 2
-                                      for e in grad)).max())
-            self._gradient_cache[fam.index] = (
-                [ex.compile_scalar(e) for e in grad], max(EPS_REG, 1e-4 * scale))
+            grad_vs = [ex.compile_vector(e)
+                       for e in fam.gradient(self.box.dim)]
+            scale = float(np.sqrt(sum(
+                g * g for g in (gv(self._points) for gv in grad_vs))).max())
+            self._gradient_cache[fam.index] = (grad_vs,
+                                               max(EPS_REG, 1e-4 * scale))
         return self._gradient_cache[fam.index]
 
     def locate(self, x, eps_face=EPS_FACE):
@@ -595,7 +635,8 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
     is not finite, or when no cell has a matching band tuple.
     """
     if not complex.box.contains(x, tol=1e-12):
-        raise OutOfDomainError("point %s outside the domain box" % (tuple(x),))
+        raise OutOfDomainError("point %s outside the domain box"
+                               % format_point(x))
 
     xt = tuple(x)
     band_options = []
@@ -604,7 +645,7 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
         v = phi(xt)
         if not math.isfinite(v):
             raise OutOfDomainError("phi of family %d is %r at %s"
-                                   % (index, v, xt))
+                                   % (index, v, format_point(xt)))
         options = _band_options(v, levels, band_count, eps_face)
         if len(options) > 1:
             boundary_families.append(index)
@@ -613,7 +654,8 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
     groups = [m for m in map(complex._cells_by_y.get,
                              itertools.product(*band_options)) if m]
     if not groups:
-        raise OutOfDomainError("no cell found for point %s" % (xt,))
+        raise OutOfDomainError("no cell found for point %s"
+                               % format_point(xt))
     boundary_families = tuple(sorted(set(boundary_families)))
     if len(groups) == 1 and len(groups[0]) == 1:
         cid = groups[0][0][0]

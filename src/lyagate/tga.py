@@ -390,8 +390,9 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
             covered[(src, fam_idx, sgn, g.name)] = True
 
     # sink edges: the forced direction has no neighbour, and the zone really
-    # touches the crossed level at a point where it can be crossed
-    level_exit_notes = []
+    # touches the crossed level at a point where it can be crossed; every
+    # level asked is sampled first, each family's in one batch
+    exits = []
     for z in zones:
         for g in controls:
             for fam in families:
@@ -400,22 +401,25 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
                 if covered.get((z.id, fam.index, sgn, g.name)):
                     continue
                 lo, hi = fam.band(h)
-                level = hi if sgn > 0 else lo
-                touches = any(
-                    complex.cell_touches_level(cid, fam.index, level)
-                    for cid in z.members)
-                if not touches:
-                    continue
-                if 1 <= h + sgn <= fam.band_count:
-                    # the neighbour band exists elsewhere in X, so this is a
-                    # box exit through a mid-stack level; keep it conservative
-                    level_exit_notes.append((z.id, g.name, fam.index, level))
-                transitions.append(Transition(
-                    source=loc_name(z.id, g.name), target="sink",
-                    action="u%d" % fam.index, kind="u",
-                    guard=((fam.index,
-                            bounds.timing(fam.index, h, g.name).t_lo),),
-                    update=UpdateMap.of({fam.index: RESET}), family=fam.index))
+                exits.append((z, g, fam, h, sgn, hi if sgn > 0 else lo))
+    for fam in families:
+        asked = [level for _, _, f, _, _, level in exits if f is fam]
+        if asked:
+            complex.sample_levels(fam.index, asked)
+    level_exit_notes = []
+    for z, g, fam, h, sgn, level in exits:
+        if not any(complex.cell_touches_level(cid, fam.index, level)
+                   for cid in z.members):
+            continue
+        if 1 <= h + sgn <= fam.band_count:
+            # the neighbour band exists elsewhere in X, so this is a box exit
+            # through a mid-stack level; keep it conservative
+            level_exit_notes.append((z.id, g.name, fam.index, level))
+        transitions.append(Transition(
+            source=loc_name(z.id, g.name), target="sink",
+            action="u%d" % fam.index, kind="u",
+            guard=((fam.index, bounds.timing(fam.index, h, g.name).t_lo),),
+            update=UpdateMap.of({fam.index: RESET}), family=fam.index))
 
     # controllable switches between controls within a zone
     for z in zones:

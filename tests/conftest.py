@@ -278,6 +278,34 @@ def _reference_level_points(fam, level, box, grid, limit, tol):
     return x[np.abs(phi_v(x) - level) <= tol * scale]
 
 
+def _reference_rows_by_y(complex, points):
+    """`CellComplex._rows_by_y` before it worked on whole columns, its
+    reference: per point, the product of the per-family `_band_options`
+    of scalar phi at LEVEL_EPS_FACE, kept where the band tuple has cells;
+    a point where some phi is not finite is listed nowhere."""
+    from lyagate.partition import LEVEL_EPS_FACE, _band_options
+
+    rows = {}
+    for row, p in enumerate(points):
+        options = []
+        for _, phi, levels, band_count in complex._family_lookup:
+            v = phi(tuple(p))
+            if not isfinite(v):
+                break
+            options.append(_band_options(v, levels, band_count,
+                                         LEVEL_EPS_FACE))
+        else:
+            for y in itertools.product(*options):
+                if y in complex._cells_by_y:
+                    rows.setdefault(y, []).append(row)
+    return rows
+
+
+@pytest.fixture(scope="session")
+def reference_rows_by_y():
+    return _reference_rows_by_y
+
+
 @pytest.fixture(scope="session")
 def reference_level_edges():
     return _reference_level_edges

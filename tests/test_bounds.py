@@ -123,7 +123,7 @@ class TestDwellContainment:
         from lyagate.model import sample_level_set
         h = 1e-3
         eps = epsilon_t(h)
-        entries = sample_level_set(nav2d.fam1, 9.0, nav2d.box, grid=48)
+        entries, = sample_level_set(nav2d.fam1, [9.0], nav2d.box, grid=48)
         inward = [p for p in entries if nav2d.box.contains(p, tol=-1e-6)]
         assert len(inward) >= 20
         for g in nav2d.controls:

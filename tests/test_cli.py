@@ -36,6 +36,23 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert run("validate", "no_such.json", "--out", str(tmp_path)) == 1
 
+    def test_coverage_error_prints_numbers(self, tmp_path, capsys):
+        """A stack whose floor lies above phi's minimum is refused (exit 1),
+        and the witness point reads as numbers, not as numpy reprs."""
+        spec = {"state_dim": 2, "input_dim": 1,
+                "domain": {"lower": [-2, -2], "upper": [2, 2]},
+                "dynamics": ["x2", "-sin(x1) + u1"],
+                "controls": {"damp": ["-x2"]},
+                "partitions": [{"phi": "1 - cos(x1) + 0.5*x2^2 + 0.25*x1*x2",
+                                "levels": [0.1, 0.4, 1, 2, 5]}],
+                "grid": {"points_per_dim": 32, "admissibility": 32}}
+        path = tmp_path / "pendulum.json"
+        path.write_text(json.dumps(spec))
+        assert run("validate", str(path), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "does not cover the domain: phi(-0.0645161, 0.0645161) = " in err
+        assert "np.float64" not in err
+
 
 class TestAbstract:
     def test_artifacts(self, tmp_path, capsys):

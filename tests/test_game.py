@@ -71,20 +71,6 @@ class TestReach:
             assert arrivals
             assert arrivals[0] <= res.bounds[cell] + epsilon_t(h)
 
-    def test_objective_dispatch(self, ex1d):
-        safety = gm.synthesize(ex1d.tga, gm.GameObjective("safety", []))
-        assert safety.objective == "safety" and safety.realizable
-        reach = gm.synthesize(ex1d.tga, gm.GameObjective("reach", [ex1d.mid]))
-        assert reach.realizable
-        # a horizon below the worst-case bound prunes the outer cells
-        tight = gm.synthesize(
-            ex1d.tga, gm.GameObjective("reach", [ex1d.mid], horizon=1.0))
-        assert tight.winning == {ex1d.mid}
-        assert not tight.realizable
-        loose = gm.synthesize(
-            ex1d.tga, gm.GameObjective("reach", [ex1d.mid], horizon=5.0))
-        assert loose.realizable
-
 
 class TestRestrict:
     def test_constant_strategy_projection(self, ex1d):

@@ -1,6 +1,7 @@
 """Lie derivatives, admissibility, level validation, critical points."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate.errors import AdmissibilityError, DegenerateLevelError, ModelError
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
 
 def _phidot_dense(coef, xs):
@@ -164,16 +167,64 @@ class TestValidateLevels:
     @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
     def test_level_points_match_reference(self, request, scenario, grid,
                                           reference_level_points):
-        """Rows that stop at a fixed point end where the full loop ends."""
+        """One call polishes every level of a family, a repeated one too,
+        and each level's block is what the reference gives that level
+        alone, bit for bit: rows that stop at a fixed point end where the
+        full loop ends, and no row sees another level's rows."""
         sc = request.getfixturevalue(scenario)
         for fam in sc.families:
-            for level in fam.levels:
-                for limit, tol in ((512, 1e-7), (256, 1e-9)):
-                    got = md._level_points(fam, level, sc.box, grid, limit, tol)
+            levels = list(fam.levels) + [fam.levels[1]]
+            for limit, tol in ((512, 1e-7), (256, 1e-9)):
+                got = md._level_points(fam, levels, sc.box, grid, limit, tol)
+                assert len(got) == len(levels)
+                for level, block in zip(levels, got):
                     want = reference_level_points(fam, level, sc.box, grid,
                                                   limit, tol)
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+                    assert block.shape == want.shape
+                    assert block.tobytes() == want.tobytes()
+                if scenario == "nav2d":
+                    # 27.5 and 56 lie above phi's maximum (27 and 54) on X
+                    assert len(got[-2]) == 0 and len(got[1]) > 0
+
+    def test_samples_count_distinct_points(self, ex1d):
+        """x1^2 = 1 and = 9 hold two points each in [-3, 3]; the polish
+        reaches each from several grid points."""
+        rep = lg.validate_levels(ex1d.fam, ex1d.box)
+        assert rep.samples == {1.0: 2, 9.0: 2}
+
+
+def test_level_polish_runs_once_per_family(monkeypatch):
+    """Building both automata on a fresh phase_plane Pipeline samples each
+    family's asked levels in one `model.sample_level_set` call, and
+    `validate_levels` polishes all of a family's levels in one
+    `_level_points` call."""
+    import lyagate.cli as cli
+
+    calls = []
+
+    def counting(name, real):
+        def wrapper(fam, levels, *args, **kwargs):
+            calls.append((name, fam.index, len(levels)))
+            return real(fam, levels, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(md, "sample_level_set",
+                        counting("sample", md.sample_level_set))
+    monkeypatch.setattr(md, "_level_points",
+                        counting("polish", md._level_points))
+    spec = cli.SystemSpec.load(os.path.join(SPEC_DIR, "phase_plane.json"))
+    pipe = cli.Pipeline(spec)
+    for mode in ("cells", "extended-cells"):
+        pipe.automaton(mode)
+    sampled = [c for c in calls if c[0] == "sample"]
+    assert [fam for _, fam, _ in sampled] == [1, 2]
+    assert all(count > 1 for _, _, count in sampled)
+    del calls[:]
+    for fam in spec.families:
+        md.validate_levels(fam, spec.box, grid=spec.adm_grid)
+    # both floors sit at phi's minimum, so every level above them is checked
+    assert calls == [("polish", f.index, len(f.levels) - 1)
+                     for f in spec.families]
 
 
 class TestBox:

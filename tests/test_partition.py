@@ -135,9 +135,9 @@ def _probe_points(complex):
     pts += [c.rep_point for c in complex.cells]
     pts += [p for adj in complex.adjacency for p in adj.facet_points]
     for fam in complex.families:
-        for level in fam.levels:
-            pts += md.sample_level_set(fam, level, complex.box,
-                                       grid=min(complex.grid, 64))
+        for sampled in md.sample_level_set(fam, fam.levels, complex.box,
+                                           grid=min(complex.grid, 64)):
+            pts += sampled
     lo, hi = np.array(complex.box.lower), np.array(complex.box.upper)
     pts += [tuple(lo), tuple(hi), tuple(lo - 1e-13), tuple(hi + 1e-11)]
     return pts
@@ -314,6 +314,27 @@ def _assert_indexed(cx, x):
 class TestTouchIndex:
     """The band-tuple index of level samples never omits a row that
     locate() puts in a cell of that band tuple."""
+
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d", "corners"])
+    def test_index_matches_reference(self, request, scenario,
+                                     reference_rows_by_y):
+        """The array index lists the same rows under the same band tuples
+        as the scalar per-point loop, on random, rep, facet, level and
+        box-edge points."""
+        cx = request.getfixturevalue(scenario).complex
+        points = _probe_points(cx)
+        assert cx._rows_by_y(points) == reference_rows_by_y(cx, points)
+        assert cx._rows_by_y([]) == {}
+
+    def test_non_finite_rows_listed_nowhere(self, reference_rows_by_y):
+        phi = ex.parse_expression(
+            "x1^2 + (sign(x1 - 2.9) + 1)*1e308*1e308*0", 1, 0)
+        fam = lg.PartitioningFamily(index=1, phi=phi, levels=(0.0, 1.0, 9.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cx = lg.build_cells([fam], lg.Box((-3.0,), (3.0,)), grid=64)
+            points = [(-1.0,), (2.95,), (1.0,), (3.0,)]
+            want = reference_rows_by_y(cx, points)
+        assert cx._rows_by_y(points) == want == {(1,): [0, 2], (2,): [0, 2]}
 
     @settings(max_examples=300, deadline=None)
     @given(i=st.integers(0, 3), j=st.integers(0, 2), di=_offsets,
