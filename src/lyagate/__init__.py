@@ -16,7 +16,7 @@ from .expr import (
     substitute, variables, to_text,
 )
 from .model import (
-    Box, ControlSystem, ControlLaw, PartitioningFamily, LieDerivative,
+    Box, ControlSystem, ControlLaw, PartitioningFamily,
     lie_derivative, check_admissibility, admissibility_map,
     validate_levels, critical_points,
 )

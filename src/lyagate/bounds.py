@@ -85,9 +85,9 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, *, equilibria):
     ``critical_points`` of g) lies inside the slice band. Final values are
     rounded outward by 0.1%.
     """
-    ld = md.lie_derivative(sys, g, fam)
-    phid_v = ld.vector_function()
-    phid_s = ld.function()
+    phid = md.lie_derivative(sys, g, fam)
+    phid_v = ex.compile_vector(phid)
+    phid_s = ex.compile_scalar(phid)
     phi_s = ex.compile_scalar(fam.phi)
     phi_v = ex.compile_vector(fam.phi)
 

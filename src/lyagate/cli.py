@@ -253,6 +253,15 @@ def _start_cells(args, spec, complex):
     return cells
 
 
+def _check_run(args):
+    """Refuse a ``--horizon`` that is not finite and positive and a
+    ``--samples`` below 1, before anything is built or simulated."""
+    _checked_step(args.horizon, "--horizon")
+    if args.samples < 1:
+        raise SpecFileError("--samples must be at least 1, got %d"
+                            % args.samples)
+
+
 def _step(args, spec):
     if args.step is not None:
         return _checked_step(args.step, "--step")
@@ -333,6 +342,7 @@ def cmd_synthesize(args):
 
 
 def cmd_simulate(args):
+    _check_run(args)
     spec = SystemSpec.load(args.spec)
     pipe = Pipeline(spec)
     complex = pipe.complex()
@@ -367,6 +377,7 @@ def cmd_simulate(args):
 
 
 def cmd_check_sound(args):
+    _check_run(args)
     spec = SystemSpec.load(args.spec)
     pipe = Pipeline(spec)
     auto = pipe.automaton("cells")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
@@ -178,38 +179,25 @@ class PartitioningFamily:
         lo, hi = self.band(h)
         return (vals >= lo - self.band_tol) & (vals <= hi + self.band_tol)
 
-    def gradient(self, n):
-        return tuple(ex.differentiate(self.phi, "x%d" % (j + 1)) for j in range(n))
+
+@lru_cache(maxsize=None)
+def gradient(phi, n):
+    """(dphi/dx_1, ..., dphi/dx_n), derived once per (phi, n)."""
+    return tuple(ex.differentiate(phi, "x%d" % (j + 1)) for j in range(n))
 
 
-@dataclass(frozen=True)
-class LieDerivative:
-    """d/dt phi(x(t)) along the closed loop, as an x-only expression."""
-
-    control: str
-    family: int
-    expression: ex.Expression
-
-    def __post_init__(self):
-        for vname in ex.variables(self.expression):
-            if vname.startswith("u"):
-                raise ModelError("Lie derivative still references input %s" % vname)
-
-    def function(self):
-        return ex.compile_scalar(self.expression)
-
-    def vector_function(self):
-        return ex.compile_vector(self.expression)
+@lru_cache(maxsize=None)
+def _lie_derivative(fg, phi):
+    total = ex.Const(0.0)
+    for dphi, fj in zip(gradient(phi, len(fg)), fg):
+        total = ex._add(total, ex._mul(dphi, fj))
+    return total
 
 
 def lie_derivative(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily):
-    """phidot_g = sum_j dphi/dx_j * f_j(x, g(x)), fully closed over x."""
-    fg = sys.closed_loop(g)
-    total = ex.Const(0.0)
-    for j in range(sys.n):
-        dphi = ex.differentiate(fam.phi, "x%d" % (j + 1))
-        total = ex._add(total, ex._mul(dphi, fg[j]))
-    return LieDerivative(control=g.name, family=fam.index, expression=total)
+    """phidot_g = sum_j dphi/dx_j * f_j(x, g(x)) as an x-only expression,
+    derived once per (closed loop, phi) and memoized like ``expr.compile_*``."""
+    return _lie_derivative(sys.closed_loop(g), fam.phi)
 
 
 def critical_points(sys: ControlSystem, g: ControlLaw, grid=64):
@@ -279,8 +267,7 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
     opposite-sign witness points when any slice mixes signs (or hits an exact
     zero away from the exclusions).
     """
-    ld = lie_derivative(sys, g, fam)
-    phid = ld.vector_function()
+    phid = ex.compile_vector(lie_derivative(sys, g, fam))
     phi_v = ex.compile_vector(fam.phi)
     pts = sys.domain.grid(grid)
     phi_vals = phi_v(pts)
@@ -364,7 +351,7 @@ def _level_points(fam, levels, box, grid, limit, tol):
     candidate order.
     """
     phi_v = ex.compile_vector(fam.phi)
-    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    grad_vs = [ex.compile_vector(e) for e in gradient(fam.phi, box.dim)]
     pts = box.grid(grid)
     vals = phi_v(pts)
     span = float(vals.max() - vals.min())
@@ -410,7 +397,7 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
     Raises DegenerateLevelError naming the level and a witness point otherwise.
     """
     phi_v = ex.compile_vector(fam.phi)
-    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    grad_vs = [ex.compile_vector(e) for e in gradient(fam.phi, box.dim)]
     vals = phi_v(box.grid(grid))
     tiny = 1e-9 * max(1.0, abs(vals.min()), abs(vals.max()))
 

@@ -317,7 +317,7 @@ class CellComplex:
         """
         if fam.index not in self._gradient_cache:
             grad_vs = [ex.compile_vector(e)
-                       for e in fam.gradient(self.box.dim)]
+                       for e in md.gradient(fam.phi, self.box.dim)]
             scale = float(np.sqrt(sum(
                 g * g for g in (gv(self._points) for gv in grad_vs))).max())
             self._gradient_cache[fam.index] = (grad_vs,

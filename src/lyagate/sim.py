@@ -173,7 +173,7 @@ def default_step(sys, controls, families):
         masks = [(h, fam.band_mask(h, vals))
                  for h in range(1, fam.band_count + 1)]
         for g in controls:
-            rate = np.abs(md.lie_derivative(sys, g, fam).vector_function()(pts))
+            rate = np.abs(ex.compile_vector(md.lie_derivative(sys, g, fam))(pts))
             for h, mask in masks:
                 vmax = float(rate[mask].max()) if mask.any() else 0.0
                 if vmax > 0.0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from . import expr as ex
 from .errors import (
     FacetSignConflictError, ModelError, NegativeClockError, UnboundedRatioError,
 )
@@ -283,9 +284,11 @@ class _Zone:
 
 
 def _zones_and_adjacency(complex, mode):
+    """Zones and their adjacencies (zone a, zone b, family, level, lower zone,
+    facet points of each member cell pair)."""
     if mode == "cells":
         zones = [_Zone(c.id, c.y, c.label, (c.id,)) for c in complex.cells]
-        adj = [(a.a, a.b, a.family, a.level, a.lower, a.facet_points)
+        adj = [(a.a, a.b, a.family, a.level, a.lower, (a.facet_points,))
                for a in complex.adjacency]
         return zones, adj
     if mode != "extended-cells":
@@ -302,11 +305,9 @@ def _zones_and_adjacency(complex, mode):
         key = (min(zid[ya], zid[yb]), max(zid[ya], zid[yb]), a.family)
         rec = merged.setdefault(key, {"level": a.level, "lower": zid[lower_y],
                                       "facets": []})
-        rec["facets"].extend(a.facet_points)
-    adj = []
-    for (za, zb, fam), rec in sorted(merged.items()):
-        adj.append((za, zb, fam, rec["level"], rec["lower"],
-                    tuple(rec["facets"][:32])))
+        rec["facets"].append(a.facet_points)
+    adj = [(za, zb, fam, rec["level"], rec["lower"], tuple(rec["facets"]))
+           for (za, zb, fam), rec in sorted(merged.items())]
     return zones, adj
 
 
@@ -357,26 +358,29 @@ def build_tga(sys, complex, controls, bounds, sign_table, mode="cells"):
                 invariants[name] = tuple(inv)
 
     # Lie-derivative evaluators for the facet sign checks
-    phidot = {(fam.index, g.name): lie_derivative(sys, g, fam).function()
+    phidot = {(fam.index, g.name):
+              ex.compile_scalar(lie_derivative(sys, g, fam))
               for fam in families for g in controls}
 
     # uncontrollable crossings between adjacent zones
     covered = {}   # (zone, family, direction, control) -> True
     for za, zb, fam_idx, level, lower, facets in adjacency:
-        fam = families[fam_pos[fam_idx]]
         for g in controls:
             fn = phidot[(fam_idx, g.name)]
-            vals = [fn(tuple(p)) for p in facets]
-            if not vals:
+            # every member cell pair's facet points, pair by pair, must
+            # share one strict sign
+            sgn = 0
+            for pair in facets:
+                vals = [fn(tuple(p)) for p in pair]
+                if not vals:
+                    continue
+                pair_sgn = 1 if vals[0] > 0 else -1
+                if (not all(v * pair_sgn > 0 for v in vals)
+                        or sgn not in (0, pair_sgn)):
+                    raise FacetSignConflictError(za, zb, fam_idx, g.name, vals)
+                sgn = pair_sgn
+            if not sgn:
                 continue
-            pos = [v > 0 for v in vals]
-            neg = [v < 0 for v in vals]
-            if all(pos):
-                sgn = 1
-            elif all(neg):
-                sgn = -1
-            else:
-                raise FacetSignConflictError(za, zb, fam_idx, g.name, vals)
             upper = zb if lower == za else za
             src, dst = (lower, upper) if sgn > 0 else (upper, lower)
             h_src = zone_by_id[src].y[fam_pos[fam_idx]]

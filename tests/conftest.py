@@ -9,6 +9,7 @@ import pytest
 
 import lyagate as lg
 from lyagate import expr as ex
+from lyagate import model as md
 from lyagate.errors import NonFiniteStateError, OutOfDomainError
 
 
@@ -252,7 +253,7 @@ def _reference_level_points(fam, level, box, grid, limit, tol):
     reference: every row takes Gauss-Newton steps until its residual
     vanishes or its gradient degenerates, or for 40 steps."""
     phi_v = ex.compile_vector(fam.phi)
-    grad_vs = [ex.compile_vector(e) for e in fam.gradient(box.dim)]
+    grad_vs = [ex.compile_vector(e) for e in md.gradient(fam.phi, box.dim)]
     pts = box.grid(grid)
     vals = phi_v(pts)
     span = float(vals.max() - vals.min())

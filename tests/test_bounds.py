@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lyagate as lg
+from lyagate import expr as ex
 from lyagate.bounds import ROUND_OUT
 from lyagate.errors import EmptySliceError
 
@@ -43,7 +44,7 @@ class TestExtremal:
         rng = np.random.default_rng(5)
         for (fam_i, h, gname), e in ex1d.bounds.extremals.items():
             g = {g.name: g for g in ex1d.controls}[gname]
-            ld = lg.lie_derivative(ex1d.sys, g, ex1d.fam).vector_function()
+            ld = ex.compile_vector(lg.lie_derivative(ex1d.sys, g, ex1d.fam))
             lo, hi = ex1d.fam.band(h)
             pts = []
             while len(pts) < 10_000:

@@ -1,5 +1,6 @@
 """Command-line pipeline: subcommands, artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import shutil
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-from lyagate.cli import main
+from lyagate.cli import _check_run, main
+from lyagate.errors import SpecFileError
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 SPEC_1D = os.path.join(SPEC_DIR, "example1d.json")
@@ -284,6 +286,35 @@ class TestBadStep:
                    "--samples", "3", "--horizon", "10",
                    "--out", str(tmp_path)) == 1
         assert "grid.step must be finite and positive" in capsys.readouterr().err
+
+
+class TestBadRun:
+    """A horizon that is not finite and positive, or fewer than one sample,
+    is bad input: before, nan exited 3, -1 and 0 passed with a vacuous
+    "0 violations", and inf ran until the process was killed."""
+
+    @pytest.mark.parametrize("command", ["simulate", "check-sound"])
+    @pytest.mark.parametrize("horizon", ["nan", "-1", "0"])
+    def test_horizon_exits_1(self, tmp_path, capsys, command, horizon):
+        assert run(command, SPEC_1D, "--strategy", "const:g0",
+                   "--samples", "3", "--horizon=" + horizon,
+                   "--out", str(tmp_path)) == 1
+        assert "--horizon must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "check-sound"])
+    @pytest.mark.parametrize("samples", ["-3", "0"])
+    def test_samples_exits_1(self, tmp_path, capsys, command, samples):
+        assert run(command, SPEC_1D, "--strategy", "const:g0",
+                   "--samples=" + samples, "--horizon", "10",
+                   "--out", str(tmp_path)) == 1
+        assert "--samples must be at least 1" in capsys.readouterr().err
+
+    def test_infinite_horizon_refused(self):
+        """Checked on the check alone: at a version without it, an infinite
+        horizon would run unbounded."""
+        with pytest.raises(SpecFileError, match="--horizon must be finite"):
+            _check_run(argparse.Namespace(horizon=float("inf"), samples=3))
+        _check_run(argparse.Namespace(horizon=6.0, samples=1))
 
 
 class TestBadPoint:

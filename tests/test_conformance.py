@@ -1,14 +1,18 @@
 """Sandwich envelopes, dwell windows, and the trace-embedding soundness check."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
 import lyagate as lg
+from lyagate import cli
 from lyagate import conformance as cf
 from lyagate import expr as ex
 from lyagate import game as gm
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
 
 def _g0_trace(ex1d, x0=3.0, horizon=4.0, h=5e-4):
@@ -149,6 +153,35 @@ class TestCheckSound:
                              step=2e-3, controls=ex1d.controls)
         assert rep.passed
         assert rep.traces == 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the sampled inf of |L_g phi| for family 2, band 2 under firm is 1.2987 "
+    "against a true 1.2683, so initial_valuation starts c1 at 4.594 against "
+    "the invariant 4.620; certified dwell bounds (ROADMAP item 2) mend it"))
+def test_start_clock_respects_invariant():
+    """A phase-plane start in c1.2-0 under firm that leaves the cell after
+    0.026 s must replay: its start valuation may not be pushed against the
+    invariant by an inf rate larger than the true one."""
+    spec = cli.SystemSpec.load(os.path.join(SPEC_DIR, "phase_plane.json"))
+    pipe = cli.Pipeline(spec)
+    auto = pipe.automaton("cells")
+    complex = pipe.complex()
+    strategy = gm.synthesize_reach(auto, [complex.cell_at((0.5, 0.0))]).strategy
+    x0 = (float.fromhex("-0x1.498cc9b304a0cp-1"),
+          float.fromhex("0x1.88099612981f0p-3"))
+    cell = complex.cell_at(x0)
+    assert (cell, strategy[cell]) == ("c1.2-0", "firm")
+    trace = lg.simulate_closed_loop(spec.system, strategy, complex, x0, 6.0,
+                                    0.002, controls=spec.controls)
+    seq = [("sink" if c == "sink" else auto.location_name(c, g), t)
+           for c, g, t in trace.location_sequence()]
+    final_dwell = 0.0 if seq[-1][0] == "sink" else max(6.0 - seq[-1][1], 0.0)
+    rr = lg.run_feasible(
+        gm.restrict(auto, strategy), seq,
+        initial_valuation=cf.initial_valuation(auto, complex, cell, "firm", x0),
+        final_dwell=final_dwell, tol=cf.epsilon_t(0.002))
+    assert rr.feasible, rr.first_violation()
 
 
 def _random_linear_system(rng, dim):

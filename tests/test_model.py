@@ -28,19 +28,18 @@ class TestLieDerivative:
     ])
     def test_1d_closed_forms(self, ex1d, g_text, expected):
         g = lg.ControlLaw("g", (ex.parse_expression(g_text, 1, 0),))
-        ld = lg.lie_derivative(ex1d.sys, g, ex1d.fam)
-        fn = ld.function()
+        fn = ex.compile_scalar(lg.lie_derivative(ex1d.sys, g, ex1d.fam))
         for x in np.linspace(-3, 3, 41):
             assert fn((x,)) == pytest.approx(expected(x), abs=1e-12)
 
     def test_no_inputs_left(self, ex1d):
         ld = lg.lie_derivative(ex1d.sys, ex1d.g2x, ex1d.fam)
-        assert not any(v.startswith("u") for v in ex.variables(ld.expression))
+        assert not any(v.startswith("u") for v in ex.variables(ld))
 
     def test_matches_flow_derivative(self, ex1d):
         """d/dt phi(x(t)) along short RK4 arcs vs the symbolic value."""
         rng = np.random.default_rng(3)
-        ld = lg.lie_derivative(ex1d.sys, ex1d.g0, ex1d.fam).function()
+        ld = ex.compile_scalar(lg.lie_derivative(ex1d.sys, ex1d.g0, ex1d.fam))
         phi = ex.compile_scalar(ex1d.fam.phi)
         step = ex.compile_step(ex1d.sys.closed_loop(ex1d.g0))
         for _ in range(50):
@@ -86,7 +85,7 @@ class TestAdmissibility:
         rng = np.random.default_rng(7)
         for (fam_i, h, gname), sgn in ex1d.signs.items():
             g = {g.name: g for g in ex1d.controls}[gname]
-            ld = lg.lie_derivative(ex1d.sys, g, ex1d.fam).vector_function()
+            ld = ex.compile_vector(lg.lie_derivative(ex1d.sys, g, ex1d.fam))
             lo, hi = ex1d.fam.band(h)
             pts = []
             while len(pts) < 1000:
@@ -225,6 +224,45 @@ def test_level_polish_runs_once_per_family(monkeypatch):
     # both floors sit at phi's minimum, so every level above them is checked
     assert calls == [("polish", f.index, len(f.levels) - 1)
                      for f in spec.families]
+
+
+@pytest.mark.parametrize("name,first,again", [
+    ("phase_plane", 12, 8), ("example1d", 3, 2)])
+def test_each_derivative_is_derived_once(monkeypatch, name, first, again):
+    """Validating every family and building both automata differentiates
+    each partial dphi/dx_j once (the Lie derivatives are built from the
+    memoized gradient) plus each control's critical-point Jacobian; the
+    default step adds nothing, and a second fresh Pipeline re-derives only
+    the Jacobians. Before the memos these counts were 84 and 84 on
+    phase_plane, 16 and 16 on example1d, and the default step added 2."""
+    import lyagate.cli as cli
+
+    calls = []
+    real = ex.differentiate
+
+    def counting(e, var):
+        calls.append(var)
+        return real(e, var)
+
+    monkeypatch.setattr(ex, "differentiate", counting)
+    md.gradient.cache_clear()
+    md._lie_derivative.cache_clear()
+    spec = cli.SystemSpec.load(os.path.join(SPEC_DIR, name + ".json"))
+
+    def build():
+        pipe = cli.Pipeline(spec)
+        for fam in spec.families:
+            md.validate_levels(fam, spec.box, grid=spec.adm_grid)
+        for mode in ("cells", "extended-cells"):
+            pipe.automaton(mode)
+
+    build()
+    jacobians = len(spec.controls) * spec.n ** 2
+    assert len(calls) == first == len(spec.families) * spec.n + jacobians
+    spec.default_step()
+    assert len(calls) == first
+    build()
+    assert len(calls) - first == again == jacobians
 
 
 class TestBox:

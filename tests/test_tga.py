@@ -120,6 +120,39 @@ class TestFacetSignConflict:
         assert (err.value.family, err.value.control) == (1, "g")
         assert min(err.value.values) < 0.0 < max(err.value.values)
 
+    def test_extended_zone_pair_checks_every_member_pair(self):
+        """Band 2 of phi1 = x1^2 has a left and a right component, so the
+        extended zones e2.1 and e2.2 meet on x2 = 0 through two cell pairs of
+        32 facet points each. L_g phi2 = 0.75 - x1 is positive on the left
+        pair and changes sign at x1 = 0.75 on the right one: both modes must
+        refuse the crossing."""
+        box = lg.Box((-1.0, -1.0), (1.0, 1.0))
+        sys2 = lg.ControlSystem(n=2, m=1, domain=box,
+                                f=(ex.parse_expression("x1 + u1", 2, 1),
+                                   ex.parse_expression("0.75 - x1", 2, 1)))
+        g = lg.ControlLaw("g", (ex.parse_expression("0", 2, 0),))
+        fams = [lg.PartitioningFamily(
+                    index=1, phi=ex.parse_expression("x1^2", 2, 0),
+                    levels=(0.0, 0.25, 1.0)),
+                lg.PartitioningFamily(
+                    index=2, phi=ex.parse_expression("x2", 2, 0),
+                    levels=(-1.0, 0.0, 1.0))]
+        complex = lg.build_cells(fams, box, grid=129)
+        pairs = [a for a in complex.adjacency if a.family == 2]
+        assert [len(a.facet_points) for a in pairs] == [32, 32, 32]
+        bounds = lg.compute_bounds(
+            sys2, [g], fams,
+            {f.index: lg.build_slices(f, box, grid=129) for f in fams},
+            grid=129, equilibria={"g": lg.critical_points(sys2, g)})
+        signs = {(f, h, "g"): 1 for f in (1, 2) for h in (1, 2)}
+        for mode, zones in (("cells", {"c2.1-1", "c2.2-1"}),
+                            ("extended-cells", {"e2.1", "e2.2"})):
+            with pytest.raises(FacetSignConflictError) as err:
+                lg.build_tga(sys2, complex, [g], bounds, signs, mode=mode)
+            assert {err.value.cell_a, err.value.cell_b} == zones, mode
+            assert err.value.family == 2
+            assert min(err.value.values) < 0.0 < max(err.value.values)
+
     def test_sign_table_contradicts_facet(self, ex1d):
         """Every facet sample of level 1 says g0 moves phi down, and the
         sign table says up for the outer slice that such a crossing leaves."""
