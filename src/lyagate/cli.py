@@ -368,7 +368,7 @@ def cmd_simulate(args):
             "trace": os.path.basename(path), "x0": list(x0),
             "events": len(trace.events),
             "final_cell": trace.visits[-1][0],
-            "exited": trace.trajectory.exited,
+            "exited": trace.exited,
             "step_error": trace.step_error})
     _write_json(os.path.join(args.out, "traces.json"),
                 {"horizon": args.horizon, "step": step, "runs": index})

@@ -665,64 +665,67 @@ def compile_step(exprs) -> Callable:
 def compile_stay(field_exprs, phi_exprs) -> Callable:
     """Compile one whole stay in a (cell, control) location.
 
-    Returns ``stay(x, t, t_stop, horizon, hmax, box, bands, times, coords)``.
-    From state ``x`` at time ``t`` it takes RK4 steps of length
+    Returns ``stay(x, t, t_stop, horizon, hmax, box, bands)``. From state
+    ``x`` at time ``t`` it takes RK4 steps of length
     ``min(hmax, horizon - t)`` over the x-only field ``field_exprs`` while
-    ``t < t_stop``. ``box`` holds one ``(lo, hi)`` pair per coordinate and
-    ``bands`` one per phi. A step is accepted when every coordinate of the
-    new state lies in its box pair and then every ``phi_exprs[j]`` at the
-    new state lies in ``bands[j]``; an accepted step appends its time to
-    ``times`` and its coordinates, one by one, to ``coords``. It returns
-    ``(t, x, xn, h)``: the time and state of the last accepted step, the
-    state the first rejected step reached (None when ``t_stop`` was reached)
-    and the length of the last step taken.
+    ``t < t_stop``; ``t_stop`` must lie within ``hmax`` of the horizon (the
+    caller's is ``horizon - 1e-15``). ``box`` holds one ``(lo, hi)`` pair per
+    coordinate and ``bands`` one per phi. A step is accepted when every
+    coordinate of the new state lies in its box pair and then every
+    ``phi_exprs[j]`` at the new state lies in ``bands[j]``. Nothing is
+    recorded per step. It returns ``(t, x, xn, h, steps, t_prev, x_prev)``:
+    the time and state of the last accepted step, the state the first
+    rejected step reached (None when ``t_stop`` was reached), the length of
+    the last step taken, the number of accepted steps, and the time and
+    state before the last accepted step (the start when none was accepted).
+
+    The steps run in two loops: full steps of length ``hmax`` while
+    ``horizon - t > hmax``, with ``0.5 * hmax`` and ``hmax / 6.0`` bound
+    once, then the shortened steps that end at the horizon.
 
     Bit-identity contract: every step is the step of ``compile_step``
-    (the same generated statements; ``0.5 * h`` and ``h / 6.0`` are bound
-    once per stay, and again on each step the horizon shortens), and each
-    phi is evaluated inline with
-    the operations of ``compile_scalar``, so the appended times and
-    coordinates, and the returned values, are bit for bit those of a loop
-    that calls ``compile_step`` and the compiled phis and checks the box and
-    bands. No finiteness check is made: a nan or infinite coordinate fails
-    its finite box check, so the step that produced it is rejected and
-    returned as ``xn``. Float errors inside the field or a phi
-    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate,
-    after every step before the failing one was appended.
+    (the same generated statements, with the same ``0.5 * h`` and
+    ``h / 6.0``), and each phi is evaluated inline with the operations of
+    ``compile_scalar``, so the returned values are bit for bit those of a
+    loop that calls ``compile_step`` and the compiled phis and checks the
+    box and bands. No finiteness check is made: a nan or infinite coordinate
+    fails its finite box check, so the step that produced it is rejected
+    and returned as ``xn``. Float errors inside the field or a phi
+    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate;
+    replaying the stay's steps finds the step that raised.
     """
     idx = range(len(field_exprs))
     xs = ", ".join("x%d" % i for i in idx)
-    leave = "            return t, (%s,), (%s,), h" % (
-        xs, ", ".join("n%d" % i for i in idx))
-    lines = ["def stay(x, t, t_stop, horizon, hmax, box, bands, times, coords):",
+    ps = ", ".join("p%d" % i for i in idx)
+    leave = "            return t, (%s,), (%s,), h, k, tp, (%s,)" % (
+        xs, ", ".join("n%d" % i for i in idx), ps)
+    step = _rk4_body(field_exprs, "        ")
+    step += ["        if not (%s):" % " and ".join(
+        "bl%d <= n%d <= bh%d" % (i, i, i) for i in idx), leave]
+    for j, e in enumerate(phi_exprs):
+        step += ["        if not fl%d <= %s <= fh%d:"
+                 % (j, _emit(e, _SCALAR_FUNCS, "n%d", "u%d"), j), leave]
+    step += ["        tp = t"] + ["        p%d = x%d" % (i, i) for i in idx]
+    step += ["        t += h"] + ["        x%d = n%d" % (i, i) for i in idx]
+    step.append("        k += 1")
+    lines = ["def stay(x, t, t_stop, horizon, hmax, box, bands):",
              "    %s, = x" % xs,
              "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx)]
     if phi_exprs:
         lines.append("    %s, = bands" % ", ".join(
             "(fl%d, fh%d)" % (j, j) for j in range(len(phi_exprs))))
-    lines += ["    append_t = times.append",
-              "    append_c = coords.append",
+    lines += ["    k = 0",
+              "    tp = t",
+              "    %s = %s" % (ps, xs),
               "    h = hmax",
-              "    hh_max = 0.5 * hmax",
-              "    s_max = hmax / 6.0",
-              "    while t < t_stop:",
+              "    hh = 0.5 * h",
+              "    s = h / 6.0",
+              "    while horizon - t > hmax:"]
+    lines += step
+    lines += ["    while t < t_stop:",
               "        h = horizon - t",
-              "        if h > hmax:",
-              "            h = hmax",
-              "            hh = hh_max",
-              "            s = s_max",
-              "        else:",
-              "            hh = 0.5 * h",
-              "            s = h / 6.0"]
-    lines += _rk4_body(field_exprs, "        ")
-    lines += ["        if not (%s):" % " and ".join(
-        "bl%d <= n%d <= bh%d" % (i, i, i) for i in idx), leave]
-    for j, e in enumerate(phi_exprs):
-        lines += ["        if not fl%d <= %s <= fh%d:"
-                  % (j, _emit(e, _SCALAR_FUNCS, "n%d", "u%d"), j), leave]
-    lines.append("        t += h")
-    lines += ["        x%d = n%d" % (i, i) for i in idx]
-    lines.append("        append_t(t)")
-    lines += ["        append_c(x%d)" % i for i in idx]
-    lines.append("    return t, (%s,), None, h" % xs)
+              "        hh = 0.5 * h",
+              "        s = h / 6.0"]
+    lines += step
+    lines.append("    return t, (%s,), None, h, k, tp, (%s,)" % (xs, ps))
     return _exec_def(lines, "stay")

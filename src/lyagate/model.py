@@ -109,12 +109,18 @@ class ControlSystem:
             _check_vars(comp, self.n, self.m, "dynamics")
 
     def closed_loop(self, g: "ControlLaw"):
-        """Vector field f(x, g(x)) as a tuple of x-only expressions."""
+        """Vector field f(x, g(x)) as a tuple of x-only expressions,
+        substituted once per (f, control components)."""
         if len(g.components) != self.m:
             raise ModelError("control '%s' has %d components, expected %d"
                              % (g.name, len(g.components), self.m))
-        mapping = {"u%d" % (j + 1): comp for j, comp in enumerate(g.components)}
-        return tuple(ex.substitute(comp, mapping) for comp in self.f)
+        return _closed_loop(self.f, g.components)
+
+
+@lru_cache(maxsize=None)
+def _closed_loop(f, components):
+    mapping = {"u%d" % (j + 1): comp for j, comp in enumerate(components)}
+    return tuple(ex.substitute(comp, mapping) for comp in f)
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,14 @@ def lie_derivative(sys: ControlSystem, g: ControlLaw, fam: PartitioningFamily):
     return _lie_derivative(sys.closed_loop(g), fam.phi)
 
 
+@lru_cache(maxsize=None)
+def _jacobian(fg):
+    """((dfg_i/dx_j)_j)_i of an x-only field, derived once per field."""
+    return tuple(tuple(ex.differentiate(fi, "x%d" % (j + 1))
+                       for j in range(len(fg)))
+                 for fi in fg)
+
+
 def critical_points(sys: ControlSystem, g: ControlLaw, grid=64):
     """Equilibria of the closed-loop field inside the domain.
 
@@ -222,9 +236,7 @@ def critical_points(sys: ControlSystem, g: ControlLaw, grid=64):
     cand_idx = cand_idx[np.argsort(sq[cand_idx], kind="stable")][:CRIT_CANDIDATES]
 
     field_fn = ex.compile_field(fg)
-    jac_exprs = tuple(tuple(ex.differentiate(fi, "x%d" % (j + 1)) for j in range(sys.n))
-                      for fi in fg)
-    jac_fns = [[ex.compile_scalar(e) for e in row] for row in jac_exprs]
+    jac_fns = [[ex.compile_scalar(e) for e in row] for row in _jacobian(fg)]
 
     def residual(x):
         return math.sqrt(sum(v * v for v in field_fn(tuple(x))))

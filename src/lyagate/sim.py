@@ -7,8 +7,7 @@ to the textbook RK4 step over ``expr.compile_field``. One stay in a
 (cell, control) location runs in a generated kernel (``expr.compile_stay``)
 that takes those same steps, with the box and band checks and every phi
 inline, while the state stays in the box and every phi in the cell's band.
-It appends each sample's time to one list and its coordinates to one flat
-list, from which the trajectory's arrays are built once at the end. The
+It records nothing per step: it returns how many steps it accepted. The
 first step that leaves goes to the event code: a non-finite state is an
 error, and the earliest crossing of a level or a box face is localized by
 bisection on phi(x(t)) - a (or x_d(t) - a) within the step (the dense state
@@ -19,9 +18,15 @@ inside a 10-step window aborts with a chattering error, the stand-in for
 sliding behaviour this toolkit does not model.
 
 A trace records the run it took as visits: one (cell, control, first
-sample index) per location entered. The sample of a crossing opens the
-next visit; the sample of a sink event closes the last one. The trace's
-segments, its location sequence and its CSV rows all read the visits.
+sample index) per location entered, with the RK4 steps accepted in each.
+The sample of a crossing opens the next visit; the sample of a sink event
+closes the last one. The run (``location_sequence``, which
+``conformance.check_sound`` embeds) reads the visits and the event times
+only. The samples are built only when ``HybridTrace.trajectory`` is read:
+each stay's steps are replayed from the sample that opened it with the
+same step function and step-length rule, so they are bit for bit the
+states the simulation took. The trace's segments and its CSV rows read
+them.
 
 The step comes from a time budget, not from a state speed: ``default_step``
 takes 1% of the fastest band traversal (band gap / max |L_g phi|) seen on a
@@ -37,6 +42,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from math import isfinite
 from operator import itemgetter
 from typing import Mapping
@@ -83,19 +90,41 @@ class Trajectory:
 
 @dataclass
 class HybridTrace:
-    trajectory: Trajectory
     events: list
     # (cell, control, first sample index), one per location entered: the
     # sample of a crossing opens the next visit, and the sample of a sink
     # event closes the last one
     visits: list
+    # RK4 steps accepted in each visit, one per visit
+    stay_steps: list
+    start: tuple             # the state at t = 0
+    steppers: dict           # control name -> its compile_step function
+    step: float
+    horizon: float
+    exited: bool = False
     # largest event-time error estimate over the trace's events and its last
     # step: the step-doubling difference, times the steps of that stay
     step_error: float = 0.0
 
-    @property
-    def step(self):
-        return self.trajectory.step
+    @cached_property
+    def trajectory(self):
+        """Every sample: the start and each event sample, each followed by
+        the steps of the visit it opens, replayed from it."""
+        samples = [(0.0, self.start)] + [(e.time, e.state) for e in self.events]
+        times, coords = [], []
+        for k, (t, x) in enumerate(samples):
+            times.append(t)
+            coords += x
+            if k < len(self.visits):
+                replay = _replay(self.steppers[self.visits[k][1]], x, t,
+                                 self.step, self.horizon)
+                for t, x in islice(replay, self.stay_steps[k]):
+                    times.append(t)
+                    coords += x
+        return Trajectory(times=np.fromiter(times, float),
+                          states=np.fromiter(coords, float).reshape(
+                              -1, len(self.start)),
+                          step=self.step, exited=self.exited)
 
     def segments(self):
         """(control, t_start, t_end) of every visit that lasts."""
@@ -107,10 +136,10 @@ class HybridTrace:
 
     def location_sequence(self):
         """[(cell, control, entry time), ...] for embedding into the automaton."""
-        times = self.trajectory.times
-        seq = [(cell, ctrl, float(times[start]))
-               for cell, ctrl, start in self.visits]
-        if self.trajectory.exited:
+        entries = [0.0] + [e.time for e in self.events]
+        seq = [(cell, ctrl, t)
+               for (cell, ctrl, _), t in zip(self.visits, entries)]
+        if self.exited:
             seq.append(("sink", None, self.events[-1].time))
         return seq
 
@@ -152,6 +181,18 @@ def _advance(step, x, h, t):
         if str(err) != "math domain error":
             raise
         raise EvalDomainError("math domain error", x, ()) from err
+
+
+def _replay(step_fn, x, t, hmax, horizon):
+    """The (time, state) after each step of a stay that starts at (t, x):
+    RK4 steps of length ``min(hmax, horizon - t)``, the rule of
+    ``expr.compile_stay``, through ``_advance``, until the horizon."""
+    t_stop = horizon - 1e-15
+    while t < t_stop:
+        h = min(hmax, horizon - t)
+        x = _advance(step_fn, x, h, t)
+        t += h
+        yield t, x
 
 
 def default_step(sys, controls, families):
@@ -217,24 +258,25 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     phis = tuple(fam.phi for fam in families)
     stays = {g.name: ex.compile_stay(sys.closed_loop(g), phis)
              for g in controls}
-    n = sys.n
     # a step leaves the box when a component is more than 1e-12 outside it
     faces = [(itemgetter(d), lo, hi, 1e-12, None)
              for d, (lo, hi) in enumerate(zip(sys.domain.lower, sys.domain.upper))]
     box = tuple((lo - slack, hi + slack) for _, lo, hi, slack, _ in faces)
 
-    x = tuple(float(v) for v in x0)
-    times = [0.0]
-    coords = list(x)          # the states, flat: n floats per sample
+    x = start = tuple(float(v) for v in x0)
     events = []
     visits = []
+    stay_steps = []
 
     def enter(cell):
-        """Choose the control for ``cell``; its visit opens at the last sample."""
+        """Choose the control for ``cell``; its visit opens at the last
+        sample, whose index counts the first sample, every accepted step
+        and every event sample so far."""
         ctrl = chooser(cell, len(events))
         if ctrl not in steppers:
             raise StrategyError("unknown control '%s'" % ctrl)
-        visits.append((cell, ctrl, len(times) - 1))
+        visits.append((cell, ctrl, sum(stay_steps) + len(events)))
+        stay_steps.append(0)
         return ctrl
 
     cell = complex.locate(x).primary
@@ -253,24 +295,24 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         step_fn = steppers[ctrl]
         y = complex.cell(cell).y
         bands = [fam.band(y[i]) for i, fam in enumerate(families)]
-        stay_start = len(times)
         try:
-            t, x, xn, step = stays[ctrl](x, t, t_stop, horizon, h, box,
-                                         bands, times, coords)
+            t, x, xn, step, stayed, t_prev, x_prev = stays[ctrl](
+                x, t, t_stop, horizon, h, box, bands)
         except (OverflowError, ZeroDivisionError, ValueError):
-            # every step before the failing one is stored; re-taking that
-            # one turns an error of the field into the package's own, and
-            # an error of a phi propagates as it is
-            t = times[-1]
-            _advance(step_fn, tuple(coords[-n:]), min(h, horizon - t), t)
+            # t and x still hold the stay's start: replaying its steps
+            # through _advance turns an error of the field into the
+            # package's own at the step that failed; an error of a phi
+            # propagates as it is
+            for _, xr in _replay(step_fn, x, t, h, horizon):
+                for phi in phi_fns:
+                    phi(xr)
             raise
-        stayed = len(times) - stay_start
+        stay_steps[-1] += stayed
         if xn is None:
             if stayed:
-                # the last step, from the sample before the last one
-                x_prev = tuple(coords[-2 * n:-n])
+                # the last step, from the state before it
                 step_error = max(step_error, stayed * max(
-                    _step_error(step_fn, x_prev, x, step, times[-2], phi)
+                    _step_error(step_fn, x_prev, x, step, t_prev, phi)
                     for phi in phi_fns))
             break
         for v in xn:
@@ -302,8 +344,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             # only a nan phi stops the inner loop without a crossing
             t += step
             x = xn
-            times.append(t)
-            coords += x
+            stay_steps[-1] += 1
             continue
 
         tau, value, level, direction, family = best
@@ -354,19 +395,15 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                             kind="domain" if family is None else "level"))
         t = t_event
         x = x_event
-        times.append(t)
-        coords += x
         if new_cell == "sink":
             exited = True
             break
         cell = new_cell
         ctrl = enter(cell)
 
-    traj = Trajectory(times=np.fromiter(times, float),
-                      states=np.fromiter(coords, float).reshape(-1, n),
-                      step=h, exited=exited)
-    return HybridTrace(trajectory=traj, events=events, visits=visits,
-                       step_error=step_error)
+    return HybridTrace(events=events, visits=visits, stay_steps=stay_steps,
+                       start=start, steppers=steppers, step=h,
+                       horizon=horizon, exited=exited, step_error=step_error)
 
 
 def _step_error(step_fn, x, xn, step, t, value):

@@ -332,24 +332,39 @@ def _stay_case(draw):
 
 
 def _stay_outcome(stay, phis, args):
-    """Bits of the returned (t, x, xn, h) and of the appended times and
-    coordinates, or the raised error. A returned xn then goes through what
+    """Bits of the returned (t, x, xn, h, steps, t_prev, x_prev), or the
+    raised error. A returned xn then goes through what
     `simulate_closed_loop` does with the step that left: the finiteness
     check and every phi at xn."""
-    times, coords = [], []
     try:
-        t, x, xn, h = stay(*args, times, coords)
+        t, x, xn, h, steps, t_prev, x_prev = stay(*args)
         if xn is not None:
             if not all(math.isfinite(v) for v in xn):
                 raise NonFiniteStateError(
                     "non-finite state at t=%g" % (t + h))
             for e in phis:
                 ex.compile_scalar(e)(xn)
-        result = [_bits(v) for v in (t, *x, h)] + (
-            ["horizon"] if xn is None else [_bits(v) for v in xn])
+        return [_bits(v) for v in (t, *x, h)] + (
+            ["horizon"] if xn is None else [_bits(v) for v in xn]) + [
+            steps] + [_bits(v) for v in (t_prev, *x_prev)]
     except (ArithmeticError, ValueError, NonFiniteStateError) as err:
-        result = (type(err), str(err))
-    return result, [_bits(v) for v in times], [_bits(v) for v in coords]
+        return type(err), str(err)
+
+
+def _recording_stay(reference_stay, fields, phis):
+    """`conftest._reference_stay` in the kernel's signature: the accepted
+    steps are the samples it appended, and the previous time and state are
+    those before its last sample (the start when it appended none)."""
+    def stay(x, t, *rest):
+        times, coords = [t], list(x)
+        t_end, x_end, xn, h = reference_stay(fields, phis, x, t, *rest,
+                                             times, coords)
+        steps = len(times) - 1
+        prev = max(steps - 1, 0)
+        n = len(x)
+        return (t_end, x_end, xn, h, steps, times[prev],
+                tuple(coords[prev * n:(prev + 1) * n]))
+    return stay
 
 
 def _stay_example(field, phi, x0, hmax, horizon, band=(-100.0, 100.0)):
@@ -364,12 +379,14 @@ def _stay_example(field, phi, x0, hmax, horizon, band=(-100.0, 100.0)):
 @example(_stay_example("x1*x1*1e200", "sin(x1)", 2.0, 1e-3, 1.0))  # inf
 @example(_stay_example("-x1^9", "x1", 2.5, 1.0, 5.0))  # overflow
 @example(_stay_example("-x1", "x1^2", 2.0, 0.01, 2.0, (1.0, 9.0)))  # leaves
+@example(_stay_example("-x1", "x1", 1.0, 0.3, 1.0))  # shortened last step
+@example(_stay_example("-x1", "x1", 1.0, 0.25, 1.0))  # whole steps to the end
 @given(_stay_case())
 def test_compile_stay_bit_identical_to_reference_loop(reference_stay, case):
     fields, phis, args = case
     kernel = _stay_outcome(ex.compile_stay(fields, phis), phis, args)
-    reference = _stay_outcome(
-        lambda *a: reference_stay(fields, phis, *a), phis, args)
+    reference = _stay_outcome(_recording_stay(reference_stay, fields, phis),
+                              phis, args)
     assert kernel == reference
 
 
@@ -420,8 +437,7 @@ def test_scalar_and_vector_code_agree_bit_for_bit(e, seed):
     for x, v in zip(pts.tolist(), vec):
         try:
             s = scalar(x)
-            accepted = stay(x, 0.0, 0.5, 1.0, 1.0, box, ((v, v),),
-                            [], [])[2] is None
+            accepted = stay(x, 0.0, 0.5, 1.0, 1.0, box, ((v, v),))[2] is None
         except ZeroDivisionError:
             continue        # numpy gives inf or nan where Python raises
         # compile_vector adds 0.0 * x1 to broadcast; it can only turn a

@@ -226,15 +226,15 @@ def test_level_polish_runs_once_per_family(monkeypatch):
                      for f in spec.families]
 
 
-@pytest.mark.parametrize("name,first,again", [
-    ("phase_plane", 12, 8), ("example1d", 3, 2)])
-def test_each_derivative_is_derived_once(monkeypatch, name, first, again):
+@pytest.mark.parametrize("name,first", [("phase_plane", 12), ("example1d", 3)])
+def test_each_derivative_is_derived_once(monkeypatch, name, first):
     """Validating every family and building both automata differentiates
     each partial dphi/dx_j once (the Lie derivatives are built from the
-    memoized gradient) plus each control's critical-point Jacobian; the
-    default step adds nothing, and a second fresh Pipeline re-derives only
-    the Jacobians. Before the memos these counts were 84 and 84 on
-    phase_plane, 16 and 16 on example1d, and the default step added 2."""
+    memoized gradient) plus each control's critical-point Jacobian, which is
+    memoized on the closed-loop field; the default step and a second fresh
+    Pipeline add nothing. Before the memos these counts were 84 and 84 on
+    phase_plane, 16 and 16 on example1d, and the default step added 2;
+    before the Jacobian memo a second Pipeline added 8 and 2."""
     import lyagate.cli as cli
 
     calls = []
@@ -247,6 +247,7 @@ def test_each_derivative_is_derived_once(monkeypatch, name, first, again):
     monkeypatch.setattr(ex, "differentiate", counting)
     md.gradient.cache_clear()
     md._lie_derivative.cache_clear()
+    md._jacobian.cache_clear()
     spec = cli.SystemSpec.load(os.path.join(SPEC_DIR, name + ".json"))
 
     def build():
@@ -262,7 +263,29 @@ def test_each_derivative_is_derived_once(monkeypatch, name, first, again):
     spec.default_step()
     assert len(calls) == first
     build()
-    assert len(calls) - first == again == jacobians
+    assert len(calls) == first
+
+
+def test_closed_loop_is_substituted_once(monkeypatch, nav2d):
+    """The closed-loop field is memoized on (f, control components): a
+    simulated trace substitutes nothing once each control's field exists."""
+    calls = []
+    real = ex.substitute
+
+    def counting(e, mapping):
+        calls.append(e)
+        return real(e, mapping)
+
+    fields = [nav2d.sys.closed_loop(g) for g in nav2d.controls]
+    monkeypatch.setattr(ex, "substitute", counting)
+    assert [nav2d.sys.closed_loop(g) for g in nav2d.controls] == fields
+    kappa = {c: "brake" for c in nav2d.complex.cell_ids()}
+    lg.simulate_closed_loop(nav2d.sys, kappa, nav2d.complex, (0.5, 0.5), 1.0,
+                            2e-3, controls=nav2d.controls)
+    assert calls == []
+    md._closed_loop.cache_clear()
+    nav2d.sys.closed_loop(nav2d.brake)
+    assert len(calls) == nav2d.n
 
 
 class TestBox:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -206,12 +207,38 @@ class TestFusedStep:
     ])
     def test_float_errors_become_lyagate_errors(self, ex1d, dynamics, x0,
                                                 error):
+        message = {
+            "-x1^9 + u1": "state overflows in the step to t=1",
+            "1/(x1 - 2) + u1": "division by zero at x=(2), u=()",
+            "sqrt(x1) + u1": "math domain error at x=(-1), u=()",
+        }[dynamics]
         sysx = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
                                 f=(ex.parse_expression(dynamics, 1, 1),))
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
-        with pytest.raises(error):
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
             lg.simulate_closed_loop(sysx, kappa, ex1d.complex, (x0,),
                                     5.0, 1.0, controls=ex1d.controls)
+
+    @pytest.mark.parametrize("dynamics,x0,error,message", [
+        # x1 moves 1.5, 1.75, 2.0 in steps of 0.25: the second step fails
+        ("1 + 1e-300/(x1 - 2) + u1", 1.5, EvalDomainError,
+         "division by zero at x=(1.75), u=()"),
+        ("1 + 1e-300 * (1e40 * (x1 - 1.75 + abs(x1 - 1.75)))^9 + u1", 1.5,
+         NonFiniteStateError, "state overflows in the step to t=0.5"),
+        # the stay that fails opens at the crossing of level 1
+        ("1 + sqrt(1.75 - x1) + u1", 1.0, EvalDomainError,
+         "math domain error at x=(1.43041), u=()"),
+    ])
+    def test_float_error_at_a_later_step(self, ex1d, dynamics, x0, error,
+                                         message):
+        """The stay that fails is replayed through the step function, so the
+        error names the step that failed, not the stay's first."""
+        sysx = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
+                                f=(ex.parse_expression(dynamics, 1, 1),))
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        with pytest.raises(error, match="^%s$" % re.escape(message)):
+            lg.simulate_closed_loop(sysx, kappa, ex1d.complex, (x0,),
+                                    5.0, 0.25, controls=ex1d.controls)
 
 
 def check_visits(tr):
@@ -239,10 +266,118 @@ def check_visits(tr):
         assert starts[-1] < len(times) - 1
 
 
+def _recorded_trajectory(tr, sys, complex, controls, x0, horizon, h,
+                         reference_stay):
+    """The samples a recording loop over `conftest._reference_stay` takes:
+    each visit's stay runs from the sample that opened it (the start or the
+    trace's event sample) under the visit's control, bands and the
+    simulator's box, appending every accepted step; the event sample that
+    ends the visit follows."""
+    fields = {g.name: sys.closed_loop(g) for g in controls}
+    phis = tuple(fam.phi for fam in complex.families)
+    box = tuple((lo - 1e-12, hi + 1e-12)
+                for lo, hi in zip(sys.domain.lower, sys.domain.upper))
+    openings = [(0.0, tuple(x0))] + [(e.time, e.state) for e in tr.events]
+    times, coords = [], []
+    for k, (t, x) in enumerate(openings):
+        times.append(t)
+        coords.extend(x)
+        if k < len(tr.visits):
+            cell, ctrl, _ = tr.visits[k]
+            y = complex.cell(cell).y
+            bands = [fam.band(y[i]) for i, fam in enumerate(complex.families)]
+            reference_stay(fields[ctrl], phis, x, t, horizon - 1e-15,
+                           horizon, h, box, bands, times, coords)
+    return times, coords
+
+
+class TestReplayedTrajectory:
+    """The trace keeps no samples; reading its trajectory replays them."""
+
+    @staticmethod
+    def check(tr, sys, complex, controls, x0, horizon, h, reference_stay):
+        times, coords = _recorded_trajectory(tr, sys, complex, controls, x0,
+                                             horizon, h, reference_stay)
+        traj = tr.trajectory
+        assert [v.hex() for v in traj.times.tolist()] == [
+            v.hex() for v in times]
+        assert [v.hex() for v in traj.states.ravel().tolist()] == [
+            v.hex() for v in coords]
+
+    def test_phase_plane_matches_recording_loop(self, nav2d, reference_stay):
+        import lyagate.game as gm
+        res = gm.synthesize_reach(nav2d.tga, nav2d.goal)
+        rng = np.random.default_rng(5)
+        kinds = set()
+        starts = [nav2d.complex.uniform_point_in(cell, rng)
+                  for cell in nav2d.complex.cell_ids()[::2]]
+        runs = [(res.strategy, x0) for x0 in starts]
+        # x1 leaves through the box edge under brake
+        runs.append(({c: "brake" for c in nav2d.complex.cell_ids()},
+                     (2.9, 2.0)))
+        for strategy, x0 in runs:
+            tr = lg.simulate_closed_loop(nav2d.sys, strategy, nav2d.complex,
+                                         x0, 6.0, 2e-3,
+                                         controls=nav2d.controls)
+            kinds.update(e.kind for e in tr.events)
+            self.check(tr, nav2d.sys, nav2d.complex, nav2d.controls, x0, 6.0,
+                       2e-3, reference_stay)
+        assert kinds == {"level", "domain"}
+
+    def test_example1d_to_the_horizon(self, ex1d, reference_stay):
+        h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+        for ctrl, x0 in (("g0", 2.0), ("g0", -0.5), ("g2x", 0.0)):
+            kappa = {c: ctrl for c in ex1d.complex.cell_ids()}
+            tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
+                                         10.0, h, controls=ex1d.controls)
+            assert not tr.exited
+            self.check(tr, ex1d.sys, ex1d.complex, ex1d.controls, (x0,),
+                       10.0, h, reference_stay)
+
+    @pytest.mark.parametrize("name,goal", [
+        ("example1d", "[-1,1]"), ("phase_plane", (0.5, 0.0))])
+    def test_check_sound_replays_no_stay(self, monkeypatch, name, goal):
+        """A `check_sound` batch reads each trace's run and step error only,
+        so it never builds samples: it replays no stay. Reading one trace's
+        trajectory afterwards replays each of its visits once."""
+        import lyagate.game as gm
+        import lyagate.sim as sm
+        replays = []
+        real = sm._replay
+
+        def counting(*args):
+            replays.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sm, "_replay", counting)
+        spec = cli.SystemSpec.load(os.path.join(
+            os.path.dirname(__file__), "..", "demos", "specs", name + ".json"))
+        pipe = cli.Pipeline(spec)
+        auto = pipe.automaton("cells")
+        complex = pipe.complex()
+        goal_cell = (complex.cell_at(goal) if isinstance(goal, tuple) else
+                     {c.label: c.id for c in complex.cells}[goal])
+        strategy = gm.synthesize_reach(auto, [goal_cell]).strategy
+        report = cf.check_sound(spec.system, auto, strategy,
+                                complex.cell_ids(), samples=6, horizon=3.0,
+                                step=spec.default_step(), seed=1,
+                                controls=spec.controls)
+        assert report.traces == 6
+        assert replays == []
+        tr = sm.simulate_closed_loop(spec.system, strategy, complex,
+                                     complex.uniform_point_in(
+                                         complex.cell_ids()[0],
+                                         np.random.default_rng(1)),
+                                     3.0, spec.default_step(),
+                                     controls=spec.controls)
+        assert len(tr.trajectory) > 1
+        assert len(replays) == len(tr.visits)
+
+
 class TestTrajectoryShape:
-    """States are stored flat while simulating; the trajectory must still
-    hold one float64 row of n coordinates per sample, however it ends, and
-    its visits must cover every sample."""
+    """The trajectory is replayed from the trace's visits; it must hold one
+    float64 row of n coordinates per sample, however it ends, and its visits
+    must cover every sample."""
 
     @staticmethod
     def check(tr, x0, n, ending):
