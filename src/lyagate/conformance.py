@@ -22,14 +22,14 @@ from . import sim as sm
 from . import tga as ta
 
 SANDWICH_TOL = 1e-6
-# largest acceptable HybridTrace.step_error: a tenth of epsilon_t's 1e-6
-# modelling slack, so the integrator never uses up the replay tolerance
-STEP_ERROR_BUDGET = 1e-7
+STEP_ERROR_BUDGET = sm.STEP_ERROR_BUDGET
 
 
-def epsilon_t(step):
-    """Dwell-time tolerance: modelling slack plus the integrator's share."""
-    return 1e-6 + 10.0 * step ** 4
+def epsilon_t(step_error):
+    """Dwell-time tolerance of one trace: 1e-6 of modelling slack plus ten
+    times its measured ``HybridTrace.step_error``, the integrator's share,
+    which never adds more than ``STEP_ERROR_BUDGET``."""
+    return 1e-6 + min(10.0 * step_error, STEP_ERROR_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +164,16 @@ class DwellReport:
         return not self.violations
 
 
-def check_dwell(trace, bounds_table, signs, complex, eps=None):
-    """Measured dwell of completed traversals against [t_lo - eps, t_hi + eps].
+def check_dwell(trace, bounds_table, signs, complex):
+    """Measured dwell of completed traversals against [t_lo - eps, t_hi + eps],
+    with eps the trace's ``epsilon_t``.
 
     A completed traversal enters through one boundary of the band and leaves
     through the other under a single control. Stays that mix controls are
     checked through the accumulated envelope instead: at the exit crossing
     the bracketing must still cover the full band width.
     """
-    if eps is None:
-        eps = epsilon_t(trace.step)
+    eps = epsilon_t(trace.step_error)
     rep = DwellReport()
     for fam in complex.families:
         phi_fn = ex.compile_scalar(fam.phi)
@@ -286,10 +286,10 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step, seed=0,
     automaton cannot reproduce is recorded as a violation; with sound bounds
     there must be none. The report also records the step and the largest
     ``HybridTrace.step_error``, to be held against ``STEP_ERROR_BUDGET``.
-    Replayed guards and invariants get the tolerance ``epsilon_t(step)``.
+    Each trace's replayed guards and invariants get the tolerance
+    ``epsilon_t`` of its own ``step_error``.
     """
     complex = tga.complex
-    eps = epsilon_t(step)
 
     restricted = gm.restrict(tga, strategy)
     rng = np.random.default_rng(seed)
@@ -311,7 +311,8 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step, seed=0,
         v0 = initial_valuation(tga, complex, cell, strategy[cell], x0)
         final_dwell = max(horizon - seq[-1][1], 0.0) if seq[-1][0] != "sink" else 0.0
         rr = ta.run_feasible(restricted, seq, initial_valuation=v0,
-                             final_dwell=final_dwell, tol=eps)
+                             final_dwell=final_dwell,
+                             tol=epsilon_t(trace.step_error))
         if not rr.feasible:
             first = rr.first_violation() or {}
             kind = first.get("kind", "unknown")

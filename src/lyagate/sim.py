@@ -28,14 +28,19 @@ same step function and step-length rule, so they are bit for bit the
 states the simulation took. The trace's segments and its CSV rows read
 them.
 
-The step comes from a time budget, not from a state speed: ``default_step``
-takes 1% of the fastest band traversal (band gap / max |L_g phi|) seen on a
-32-point grid, so every band gets about 100 steps. Each trace checks that
-budget a posteriori by step doubling: at every event and at the trace's
-last step the step just taken is taken again as two halves, and the
-difference, turned into a time error and multiplied by the steps of that
-stay, is the trace's ``step_error``. ``conformance.check_sound`` holds it
-against a budget of 1e-7, a tenth of the replay tolerance's modelling slack.
+The step is read from the measured local error. ``default_step`` caps it
+at a quarter of the fastest band traversal (band gap / max |L_g phi| on a
+32-point grid), takes one step of that length from each point of a 16-point
+grid, and reads the event-time error of each phi by step doubling. Since
+the error grows as h**4, it shrinks the cap until a run of ``STEP_HORIZON``
+time units stays within a tenth of ``STEP_ERROR_BUDGET``; ``--step`` is the
+only override. Each trace checks the budget a posteriori the same way: at
+every event and at the trace's last step the step just taken is taken again
+as two halves, and the difference, turned into a time error and multiplied
+by the steps of that stay, is the trace's ``step_error``.
+``conformance.check_sound`` holds it against the budget of 1e-7, a tenth of
+the replay tolerance's modelling slack, and sizes each trace's replay
+tolerance by it (``conformance.epsilon_t``).
 """
 
 from __future__ import annotations
@@ -62,7 +67,11 @@ EVENT_TIME_TOL = 1e-10
 _EVENT_NUDGE = 1e-9      # fraction of a step used to probe the far side
 CHATTER_LIMIT = 10       # more events than this in as many steps is chattering
 STEP_GRID = 32           # points per axis of the grid default_step reads
-STEP_FRACTION = 1e-2     # of the fastest band traversal, per step
+STEP_PROBES = 16         # points per axis it takes one error probe from
+STEP_HORIZON = 10.0      # longest run default_step keeps within the budget
+# largest acceptable HybridTrace.step_error: a tenth of the replay
+# tolerance's 1e-6 modelling slack, so the integrator never uses it up
+STEP_ERROR_BUDGET = 1e-7
 _EVENT_ITERS = 80        # most halvings of a step that locate an event
 
 
@@ -196,16 +205,27 @@ def _replay(step_fn, x, t, hmax, horizon):
 
 
 def default_step(sys, controls, families):
-    """RK4 step: ``STEP_FRACTION`` of the fastest band traversal on the grid.
+    """RK4 step read from the measured local error.
 
     For every (family, band, control) the band's gap divided by the largest
     ``|L_g phi|`` over the ``STEP_GRID`` points in the band (``band_mask``)
     is a lower estimate of the time the closed loop needs to cross that
-    band (the abstraction's own ``t_lo``). The step is ``STEP_FRACTION``
-    times the smallest of these, so every band gets at least about
-    ``1 / STEP_FRACTION`` steps. A band with no grid point in it does not
-    count; ``simulate_closed_loop`` measures the error this step causes on
-    every trace (``HybridTrace.step_error``).
+    band (the abstraction's own ``t_lo``). A quarter of the smallest of
+    these is the cap, so no band seen on the grid is crossed within one
+    step. One step of length ``cap`` is taken from each point of the
+    ``STEP_PROBES``-point grid under each control, and ``_step_errors``
+    turns it into the event-time error of every phi (a phi that does not
+    move over the step is skipped, and so is a point where the field or a
+    phi fails). rho, the largest of these per unit of step time, is a
+    trace's ``step_error`` per unit of stay time at the cap.
+
+    Contract: the error grows as ``h**4`` and in proportion to stay length,
+    so the step ``cap * min(1, (STEP_ERROR_BUDGET / (10 rho STEP_HORIZON))
+    ** 0.25)`` keeps ``step_error`` within a tenth of ``STEP_ERROR_BUDGET``
+    on runs up to ``STEP_HORIZON`` long. Longer runs, and box exits (whose
+    time error is unbounded where the exit is tangential, so no probe can
+    size it), are not covered by the rule; every trace still measures its
+    own ``step_error``, and the CLI warns when it is over budget.
     """
     pts = sys.domain.grid(STEP_GRID)
     fastest = float("inf")
@@ -222,8 +242,24 @@ def default_step(sys, controls, families):
                     fastest = min(fastest, (hi - lo) / vmax)
     if not isfinite(fastest):
         raise ModelError("no control moves phi across a band on the %d-point "
-                         "grid; give the step explicitly" % STEP_GRID)
-    return STEP_FRACTION * fastest
+                         "grid; give the step with --step" % STEP_GRID)
+    cap = 0.25 * fastest
+    phi_fns = [ex.compile_scalar(fam.phi) for fam in families]
+    rho = 0.0
+    for g in controls:
+        step_fn = ex.compile_step(sys.closed_loop(g))
+        for x in map(tuple, sys.domain.grid(STEP_PROBES).tolist()):
+            try:
+                xn = _advance(step_fn, x, cap, 0.0)
+                errs = _step_errors(step_fn, x, xn, cap, 0.0, phi_fns)
+            except (NonFiniteStateError, EvalDomainError, ArithmeticError,
+                    ValueError):
+                continue
+            rho = max([rho] + [e / cap for e in errs if isfinite(e)])
+    if rho == 0.0:
+        return cap
+    return cap * min(1.0, (STEP_ERROR_BUDGET
+                           / (10.0 * rho * STEP_HORIZON)) ** 0.25)
 
 
 def _as_chooser(strategy):
@@ -247,7 +283,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
     experiments). Returns a HybridTrace whose visits record the
     (cell, control) locations the trace entered, whose events carry the
     crossed family, level, and both cells, and whose ``step_error`` holds
-    the largest event-time error estimate (see ``_step_error``).
+    the largest event-time error estimate (see ``_step_errors``).
     """
     if not (isfinite(h) and h > 0):
         raise LyagateError("step must be finite and positive, got %r" % (h,))
@@ -312,8 +348,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             if stayed:
                 # the last step, from the state before it
                 step_error = max(step_error, stayed * max(
-                    _step_error(step_fn, x_prev, x, step, t_prev, phi)
-                    for phi in phi_fns))
+                    _step_errors(step_fn, x_prev, x, step, t_prev, phi_fns)))
             break
         for v in xn:
             if not isfinite(v):
@@ -348,8 +383,8 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
             continue
 
         tau, value, level, direction, family = best
-        step_error = max(step_error, (stayed + 1) * _step_error(
-            step_fn, x, xn, step, t, value))
+        step_error = max(step_error, (stayed + 1) * _step_errors(
+            step_fn, x, xn, step, t, [value])[0])
         tau = max(tau, 1e-15)
         x_event = _advance(step_fn, x, tau, t)
         t_event = t + tau
@@ -406,25 +441,29 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                        horizon=horizon, exited=exited, step_error=step_error)
 
 
-def _step_error(step_fn, x, xn, step, t, value):
-    """Event-time error of one RK4 step, estimated by step doubling.
+def _step_errors(step_fn, x, xn, step, t, values):
+    """Event-time error of one RK4 step, estimated by step doubling, for
+    each of ``values``.
 
     The step from ``x`` to ``xn`` is taken once more as two halves; the two
     results differ by about the full step's local error (Hairer, Norsett &
-    Wanner, Solving ODEs I, section II.4). ``value`` reads the quantity the
-    event is located on: phi of the crossed family, or the coordinate that
-    left the box. Its difference over the two results, divided by its rate
-    along the step (the secant of ``value`` over the step, i.e. the mean of
+    Wanner, Solving ODEs I, section II.4). Each value reads a quantity an
+    event is located on: phi of a family, or the coordinate that left the
+    box. Its difference over the two results, divided by its rate along the
+    step (the secant of the value over the step, i.e. the mean of
     ``L_g phi`` or of ``f_d``), is the shift that error causes in the time
-    at which ``value`` reaches a threshold.
+    at which the value reaches a threshold: inf when the value differs but
+    does not move.
     """
     half = 0.5 * step
     xh = _advance(step_fn, _advance(step_fn, x, half, t), half, t + half)
-    diff = abs(value(xn) - value(xh))
-    if diff == 0.0:
-        return 0.0
-    rate = abs(value(xn) - value(x)) / step
-    return diff / rate if rate > 0.0 else float("inf")
+    errors = []
+    for value in values:
+        diff = abs(value(xn) - value(xh))
+        rate = abs(value(xn) - value(x)) / step
+        errors.append(0.0 if diff == 0.0 else
+                      diff / rate if rate > 0.0 else float("inf"))
+    return errors
 
 
 def _bisect_event(fun, step, f0):

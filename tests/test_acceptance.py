@@ -62,7 +62,6 @@ def test_acceptance_3_dwell_containment(ex1d):
     t0 = time.perf_counter()
     rng = np.random.default_rng(2024)
     h = 1e-3
-    eps = cf.epsilon_t(h)
     cells = ex1d.complex.cell_ids()
     combos = [(c, g.name) for c in cells for g in ex1d.controls]
     per_combo = int(np.ceil(1000 / len(combos)))
@@ -77,8 +76,7 @@ def test_acceptance_3_dwell_containment(ex1d):
                 ex1d.sys, kappa, ex1d.complex, x0, 5.0, h,
                 controls=ex1d.controls)
             total += 1
-            rep = cf.check_dwell(trace, ex1d.bounds, ex1d.signs, ex1d.complex,
-                                 eps=eps)
+            rep = cf.check_dwell(trace, ex1d.bounds, ex1d.signs, ex1d.complex)
             completed += rep.traversals
             violations += len(rep.violations)
     elapsed = time.perf_counter() - t0
@@ -193,7 +191,6 @@ def test_acceptance_8_phase_plane_navigation():
 
     rng = np.random.default_rng(4242)
     h = 2e-3
-    eps = cf.epsilon_t(h)
     reached, obstacle_hits, dwell_violations = 0, 0, 0
     for i in range(200):
         x0 = nav.complex.uniform_point_in(nav.initial[i % len(nav.initial)], rng)
@@ -205,7 +202,7 @@ def test_acceptance_8_phase_plane_navigation():
             reached += 1
             if any(c in nav.obstacle for c in visited[:goal_at + 1]):
                 obstacle_hits += 1
-        rep = cf.check_dwell(trace, nav.bounds, nav.signs, nav.complex, eps=eps)
+        rep = cf.check_dwell(trace, nav.bounds, nav.signs, nav.complex)
         dwell_violations += len(rep.violations)
     elapsed = time.perf_counter() - t0
     assert reached == 200

@@ -100,7 +100,6 @@ class TestDwellContainment:
         """Trajectories entered at one boundary exit the band inside the window."""
         from lyagate.conformance import epsilon_t
         h = 5e-4
-        eps = epsilon_t(h)
         rng = np.random.default_rng(11)
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         checked = 0
@@ -114,6 +113,7 @@ class TestDwellContainment:
             # x(t) = x0 e^-t reaches phi = 1 at t = ln |x0|
             assert t_exit == pytest.approx(math.log(3.0), abs=1e-9)
             tb = ex1d.bounds.timing(1, 2, "g0")
+            eps = epsilon_t(tr.step_error)
             assert tb.t_lo - eps <= t_exit <= tb.t_hi + eps
             checked += 1
         assert checked == 100
@@ -123,7 +123,6 @@ class TestDwellContainment:
         from lyagate.conformance import epsilon_t
         from lyagate.model import sample_level_set
         h = 1e-3
-        eps = epsilon_t(h)
         entries, = sample_level_set(nav2d.fam1, [9.0], nav2d.box, grid=48)
         inward = [p for p in entries if nav2d.box.contains(p, tol=-1e-6)]
         assert len(inward) >= 20
@@ -134,4 +133,5 @@ class TestDwellContainment:
                 tr = lg.simulate_closed_loop(nav2d.sys, kappa, nav2d.complex,
                                              p, 3.0, h, controls=nav2d.controls)
                 t_exit = crossing_time(tr, 1, 5.0)
+                eps = epsilon_t(tr.step_error)
                 assert tb.t_lo - eps <= t_exit <= tb.t_hi + eps

@@ -160,6 +160,21 @@ class TestSimulate:
                    "--out", str(tmp_path)) == 1
         assert "overflows" in capsys.readouterr().err
 
+    def test_step_error_over_budget_warns(self, tmp_path, capsys):
+        """A band 0.02 wide in phi at 100x the default step: the traces are
+        written, and stderr says the step is too coarse."""
+        spec = dict(json.loads(open(SPEC_1D).read()))
+        spec["partitions"] = [{"phi": "x1^2", "levels": [0.0, 1.0, 1.02, 9.0]}]
+        spec["grid"] = {"points_per_dim": 512, "admissibility": 512}
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps(spec))
+        assert run("simulate", str(path), "--strategy", "const:g0",
+                   "--x0", "2.5", "--horizon", "10", "--step", "0.44",
+                   "--out", str(tmp_path)) == 0
+        index = json.loads((tmp_path / "traces.json").read_text())
+        assert index["runs"][0]["step_error"] > 1e-7
+        assert "exceeds the budget" in capsys.readouterr().err
+
     def test_sampled_starts(self, tmp_path):
         strat = tmp_path / "strategy.json"
         run("synthesize", SPEC_1D, "--reach", "[-1,1]", "--out", str(tmp_path))
@@ -184,11 +199,12 @@ class TestCheckSound:
                    "--samples", "30", "--horizon", "10",
                    "--out", str(tmp_path)) == 0
         rep = json.loads((tmp_path / "soundness.json").read_text())
-        assert rep["step"] == pytest.approx(4.0 / 900.0, rel=1e-12)
-        assert 0.0 < rep["max_step_error"] <= rep["step_error_budget"] == 1e-7
+        assert rep["step"] == pytest.approx(0.0188514, rel=1e-5)
+        assert rep["step_error_budget"] == 1e-7
+        assert 0.0 < rep["max_step_error"] <= rep["step_error_budget"] / 10
         out, err = capsys.readouterr()
         assert out.startswith("soundness: 30 traces, 0 violations, "
-                              "completeness 1.00, step 0.00444444, "
+                              "completeness 1.00, step 0.0188514, "
                               "max step error ")
         assert "warning" not in err
 
@@ -242,6 +258,36 @@ class TestCheckSound:
             assert v["violation"]["kind"] == "missing-edge"
             assert v["violation"]["detail"] == "no transition to sink"
 
+    def test_phase_plane_default_step_keeps_every_box_exit(self, tmp_path):
+        """The default step is about 4.6x today's 0.002 on this spec; it
+        must not step over a box exit: the same samples leave the box as
+        at step 0.002."""
+        assert run("synthesize", SPEC_NAV, "--reach", "@0.5,0",
+                   "--out", str(tmp_path)) == 0
+        found = []
+        for extra in ([], ["--step", "0.002"]):
+            out = tmp_path / ("step" + "".join(extra))
+            assert run("check-sound", SPEC_NAV,
+                       "--strategy", str(tmp_path / "strategy.json"),
+                       "--samples", "100", "--horizon", "6",
+                       "--out", str(out), *extra) == 2
+            rep = json.loads((out / "soundness.json").read_text())
+            found.append([(v["sample"], v["violation"]["kind"])
+                          for v in rep["violations"]])
+        assert found[0] == found[1] == [
+            (11, "missing-edge"), (23, "missing-edge"), (47, "missing-edge")]
+
+    def test_chattering_at_the_default_step_exits_1(self, tmp_path, capsys):
+        """Fields that point at each other across |x| = 1 chatter; at the
+        default step the guard still stops the batch with exit 1."""
+        path = tmp_path / "facing.json"
+        path.write_text(json.dumps(
+            {"c1-0": "g2x", "c2-0": "g0", "c2-1": "g0"}))
+        assert run("check-sound", SPEC_1D, "--strategy", str(path),
+                   "--samples", "6", "--horizon", "10",
+                   "--out", str(tmp_path)) == 1
+        assert "events within" in capsys.readouterr().err
+
     def test_invalid_spec_exits_1(self, tmp_path):
         assert run("check-sound", SPEC_G15, "--strategy", "const:g0",
                    "--samples", "5", "--horizon", "2",
@@ -278,6 +324,8 @@ class TestBadStep:
 
     @pytest.mark.parametrize("step", [-0.01, float("nan"), float("inf"), 0.0])
     def test_spec_step_exits_1(self, tmp_path, capsys, step):
+        """The spec's ``grid.step`` is gone: ``--step`` is the one override,
+        so a spec that still sets it is refused whatever its value."""
         spec = dict(json.loads(open(SPEC_1D).read()))
         spec["grid"] = dict(spec["grid"], step=step)
         path = tmp_path / "bad_step.json"
@@ -285,7 +333,9 @@ class TestBadStep:
         assert run("check-sound", str(path), "--strategy", "const:g0",
                    "--samples", "3", "--horizon", "10",
                    "--out", str(tmp_path)) == 1
-        assert "grid.step must be finite and positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "key 'grid.step' was removed" in err
+        assert "allowed keys in grid: points_per_dim, admissibility\n" in err
 
 
 class TestBadRun:
@@ -347,9 +397,9 @@ class TestSpecKeys:
 
     @pytest.mark.parametrize("where,key,message,allowed", [
         ("grid", "point_per_dim", "key 'grid.point_per_dim' is unknown",
-         "allowed keys in grid: points_per_dim, admissibility, step"),
+         "allowed keys in grid: points_per_dim, admissibility"),
         ("grid", "refine_iters", "key 'grid.refine_iters' was removed",
-         "allowed keys in grid: points_per_dim, admissibility, step"),
+         "allowed keys in grid: points_per_dim, admissibility"),
         ("grid", "stability_check", "key 'grid.stability_check' was removed",
          "allowed keys in grid:"),
         ("domain", "uper", "key 'domain.uper' is unknown",

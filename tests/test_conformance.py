@@ -146,6 +146,31 @@ class TestCheckSound:
         assert not rep.passed
         assert rep.guard_violations >= 1
 
+    def test_each_trace_replays_at_its_own_tolerance(self, monkeypatch, ex1d):
+        """The replay tolerance is ``epsilon_t`` of each trace's measured
+        ``step_error``, not of the step."""
+        errors, tols = [], []
+        simulate, run_feasible = cf.sm.simulate_closed_loop, cf.ta.run_feasible
+
+        def simulating(*args, **kwargs):
+            trace = simulate(*args, **kwargs)
+            errors.append(trace.step_error)
+            return trace
+
+        def replaying(*args, tol, **kwargs):
+            tols.append(tol)
+            return run_feasible(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(cf.sm, "simulate_closed_loop", simulating)
+        monkeypatch.setattr(cf.ta, "run_feasible", replaying)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        rep = cf.check_sound(ex1d.sys, ex1d.tga, kappa,
+                             ex1d.complex.cell_ids(), samples=6, horizon=10.0,
+                             step=0.02, seed=1, controls=ex1d.controls)
+        assert rep.passed
+        assert tols == [cf.epsilon_t(e) for e in errors]
+        assert len(set(tols)) > 1
+
     def test_zero_samples_vacuous(self, ex1d):
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         rep = cf.check_sound(ex1d.sys, ex1d.tga, kappa,
@@ -153,6 +178,14 @@ class TestCheckSound:
                              step=2e-3, controls=ex1d.controls)
         assert rep.passed
         assert rep.traces == 0
+
+
+def test_epsilon_t_reads_the_step_error():
+    """1e-6 of modelling slack plus ten times the measured step error, which
+    adds no more than the budget however large it is."""
+    assert cf.epsilon_t(0.0) == 1e-6
+    assert cf.epsilon_t(2e-9) == 1e-6 + 2e-8
+    assert cf.epsilon_t(1.0) == cf.epsilon_t(math.inf) == 1.1e-6
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -180,7 +213,7 @@ def test_start_clock_respects_invariant():
     rr = lg.run_feasible(
         gm.restrict(auto, strategy), seq,
         initial_valuation=cf.initial_valuation(auto, complex, cell, "firm", x0),
-        final_dwell=final_dwell, tol=cf.epsilon_t(0.002))
+        final_dwell=final_dwell, tol=cf.epsilon_t(trace.step_error))
     assert rr.feasible, rr.first_violation()
 
 

@@ -69,7 +69,7 @@ class TestReach:
                                       controls=ex1d.controls)
             arrivals = [e.time for e in tr.events if e.new_cell == ex1d.mid]
             assert arrivals
-            assert arrivals[0] <= res.bounds[cell] + epsilon_t(h)
+            assert arrivals[0] <= res.bounds[cell] + epsilon_t(tr.step_error)
 
 
 class TestRestrict:

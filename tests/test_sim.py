@@ -291,6 +291,23 @@ def _recorded_trajectory(tr, sys, complex, controls, x0, horizon, h,
     return times, coords
 
 
+def demo_reach(name, goal):
+    """(spec, automaton, complex, reach strategy) of a shipped demo spec;
+    ``goal`` is a cell label or a point."""
+    import lyagate.game as gm
+    spec = cli.SystemSpec.load(os.path.join(
+        os.path.dirname(__file__), "..", "demos", "specs", name + ".json"))
+    pipe = cli.Pipeline(spec)
+    auto = pipe.automaton("cells")
+    complex = pipe.complex()
+    goal_cell = (complex.cell_at(goal) if isinstance(goal, tuple) else
+                 {c.label: c.id for c in complex.cells}[goal])
+    return spec, auto, complex, gm.synthesize_reach(auto, [goal_cell]).strategy
+
+
+DEMO_REACH = [("example1d", "[-1,1]", 10.0), ("phase_plane", (0.5, 0.0), 6.0)]
+
+
 class TestReplayedTrajectory:
     """The trace keeps no samples; reading its trajectory replays them."""
 
@@ -340,7 +357,6 @@ class TestReplayedTrajectory:
         """A `check_sound` batch reads each trace's run and step error only,
         so it never builds samples: it replays no stay. Reading one trace's
         trajectory afterwards replays each of its visits once."""
-        import lyagate.game as gm
         import lyagate.sim as sm
         replays = []
         real = sm._replay
@@ -350,14 +366,7 @@ class TestReplayedTrajectory:
             return real(*args)
 
         monkeypatch.setattr(sm, "_replay", counting)
-        spec = cli.SystemSpec.load(os.path.join(
-            os.path.dirname(__file__), "..", "demos", "specs", name + ".json"))
-        pipe = cli.Pipeline(spec)
-        auto = pipe.automaton("cells")
-        complex = pipe.complex()
-        goal_cell = (complex.cell_at(goal) if isinstance(goal, tuple) else
-                     {c.label: c.id for c in complex.cells}[goal])
-        strategy = gm.synthesize_reach(auto, [goal_cell]).strategy
+        spec, auto, complex, strategy = demo_reach(name, goal)
         report = cf.check_sound(spec.system, auto, strategy,
                                 complex.cell_ids(), samples=6, horizon=3.0,
                                 step=spec.default_step(), seed=1,
@@ -480,31 +489,42 @@ class TestTraceArtifacts:
 
     def test_default_step(self, ex1d):
         h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
-        # fastest traversal: band [1, 9] has gap 8, and |L_g phi| = 2 x^2
-        # under both controls peaks at 18 on the grid point x = +-3
-        assert h == pytest.approx(0.01 * 8.0 / 18.0, rel=1e-12)
+        # the cap: band [1, 9] has gap 8, and |L_g phi| = 2 x^2 under both
+        # controls peaks at 18 on the grid point x = +-3; the measured error
+        # shrinks a quarter of that traversal to 0.0188514
+        assert h < 0.25 * 8.0 / 18.0
+        assert h == pytest.approx(0.0188514, rel=1e-5)
 
     def test_default_step_phase_plane(self, nav2d):
         h = lg.default_step(nav2d.sys, nav2d.controls, nav2d.families)
-        assert h == pytest.approx(1.3441e-3, rel=1e-4)
-        # the spec's grid.step wins over the rule
+        assert h == pytest.approx(9.1944e-3, rel=1e-4)
+        # the spec has no step of its own: the rule is the default
         spec = cli.SystemSpec.load(os.path.join(
             os.path.dirname(__file__), "..", "demos", "specs",
             "phase_plane.json"))
-        assert spec.default_step() == 0.002
+        assert spec.default_step() == h
+
+    def test_default_step_skips_a_probe_outside_the_phi_domain(self, ex1d):
+        """Under g2x, one step from the probe x = -3 leaves the domain of
+        sqrt(x1 + 3.05); the probe is skipped instead of raising."""
+        fam = lg.PartitioningFamily(
+            index=1, phi=ex.parse_expression("sqrt(x1 + 3.05)", 1, 0),
+            levels=(0.0, 1.0, 2.5))
+        h = lg.default_step(ex1d.sys, ex1d.controls, [fam])
+        assert 0.0 < h < 0.25
 
     def test_default_step_needs_motion_across_a_band(self, ex1d):
         sysz = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
                                 f=(ex.parse_expression("0*x1 + u1", 1, 1),))
-        with pytest.raises(ModelError, match="give the step explicitly"):
+        with pytest.raises(ModelError, match="give the step with --step"):
             lg.default_step(sysz, [ex1d.g0], ex1d.families)
 
 
 class TestStepError:
     """A band 0.02 wide in phi between wide ones. The default step comes
     from the wide bands (no grid point of the rule lies in the thin one),
-    so about two steps cross the thin band; event localization must still
-    find both crossings, in order and at the closed-form times."""
+    so one step can cross the whole thin band; event localization must
+    still find both crossings, in order and at the closed-form times."""
 
     @pytest.fixture(scope="class")
     def thin(self, ex1d):
@@ -517,17 +537,23 @@ class TestStepError:
         return complex, kappa, h
 
     def test_default_step_event_times_example1d(self, ex1d):
+        """The rule's contract on runs of 10 time units: the event times,
+        and the error estimate, stay within a tenth of the budget (measured
+        worst event-time error 1.19e-9)."""
         h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         for x0 in np.linspace(1.05, 2.99, 40):
             tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
                                          10.0, h, controls=ex1d.controls)
-            assert tr.events[0].time == pytest.approx(math.log(x0), abs=1e-9)
-            assert tr.step_error <= cf.STEP_ERROR_BUDGET
+            assert tr.events[0].time == pytest.approx(
+                math.log(x0), abs=cf.STEP_ERROR_BUDGET / 10.0)
+            assert tr.step_error <= cf.STEP_ERROR_BUDGET / 10.0
 
     def test_default_step_keeps_thin_band_crossings(self, ex1d, thin):
         complex, kappa, h = thin
-        assert h == pytest.approx(0.01 * 7.98 / 18.0, rel=1e-12)
+        # the cap is a quarter of the wide band [1.02, 9]'s traversal
+        assert h < 0.25 * 7.98 / 18.0
+        assert h == pytest.approx(0.0188516, rel=1e-5)
         starts = np.linspace(1.05, 2.99, 10)
         for x0 in np.concatenate([starts, -starts]):
             tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (x0,),
@@ -536,7 +562,7 @@ class TestStepError:
             assert tr.events[0].time < tr.events[1].time
             for e in tr.events:
                 exact = math.log(x0 * x0 / e.level) / 2.0
-                assert abs(e.time - exact) <= cf.epsilon_t(h)
+                assert abs(e.time - exact) <= cf.epsilon_t(tr.step_error)
             assert 0.0 < tr.step_error <= cf.STEP_ERROR_BUDGET
 
     def test_hundredfold_step_exceeds_budget(self, ex1d, thin):
@@ -544,3 +570,42 @@ class TestStepError:
         tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (2.5,),
                                      10.0, 100.0 * h, controls=ex1d.controls)
         assert tr.step_error > cf.STEP_ERROR_BUDGET
+
+
+class TestDefaultStepRule:
+    """The default step is read from the measured error. On both demos,
+    under their reach strategies and at the benchmark horizons, it must
+    take the same run as a fine step and keep ``step_error`` within a
+    tenth of the budget (the rule's contract for runs up to
+    ``STEP_HORIZON``)."""
+
+    @pytest.mark.parametrize("name,goal,horizon", DEMO_REACH)
+    def test_same_run_as_a_fine_step(self, name, goal, horizon):
+        """24 seeded starts: the same cells and controls as at step 1e-4,
+        and event times within the trace's own replay tolerance."""
+        spec, _, complex, strategy = demo_reach(name, goal)
+        h = spec.default_step()
+        cells = complex.cell_ids()
+        rng = np.random.default_rng(26)
+        for i in range(24):
+            x0 = complex.uniform_point_in(cells[i % len(cells)], rng)
+            tr, ref = (lg.simulate_closed_loop(spec.system, strategy, complex,
+                                               x0, horizon, step,
+                                               controls=spec.controls)
+                       for step in (h, 1e-4))
+            seq, ref_seq = tr.location_sequence(), ref.location_sequence()
+            assert [s[:2] for s in seq] == [s[:2] for s in ref_seq]
+            eps = cf.epsilon_t(tr.step_error)
+            for (_, _, t), (_, _, t_ref) in zip(seq, ref_seq):
+                assert abs(t - t_ref) <= eps
+
+    @pytest.mark.parametrize("name,goal,horizon", DEMO_REACH)
+    def test_check_sound_batch_within_a_tenth_of_the_budget(
+            self, name, goal, horizon):
+        spec, auto, complex, strategy = demo_reach(name, goal)
+        report = cf.check_sound(spec.system, auto, strategy,
+                                complex.cell_ids(), samples=48,
+                                horizon=horizon, step=spec.default_step(),
+                                seed=3, controls=spec.controls)
+        assert report.traces == 48
+        assert 0.0 < report.max_step_error <= cf.STEP_ERROR_BUDGET / 10.0
