@@ -266,9 +266,9 @@ def _step(args, spec):
 def _warn_step_error(max_step_error):
     """Say on stderr when a trace's step error is over budget; the verdict
     and exit code stand."""
-    if max_step_error > cf.STEP_ERROR_BUDGET:
+    if max_step_error > sm.STEP_ERROR_BUDGET:
         print("warning: max step error %.3g exceeds the budget %g; "
-              "give a smaller --step" % (max_step_error, cf.STEP_ERROR_BUDGET),
+              "give a smaller --step" % (max_step_error, sm.STEP_ERROR_BUDGET),
               file=_sys.stderr)
 
 

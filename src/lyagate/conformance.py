@@ -22,14 +22,13 @@ from . import sim as sm
 from . import tga as ta
 
 SANDWICH_TOL = 1e-6
-STEP_ERROR_BUDGET = sm.STEP_ERROR_BUDGET
 
 
 def epsilon_t(step_error):
     """Dwell-time tolerance of one trace: 1e-6 of modelling slack plus ten
     times its measured ``HybridTrace.step_error``, the integrator's share,
-    which never adds more than ``STEP_ERROR_BUDGET``."""
-    return 1e-6 + min(10.0 * step_error, STEP_ERROR_BUDGET)
+    which never adds more than ``sim.STEP_ERROR_BUDGET``."""
+    return 1e-6 + min(10.0 * step_error, sm.STEP_ERROR_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +236,7 @@ class SoundnessReport:
             "horizon": self.horizon,
             "step": self.step,
             "max_step_error": self.max_step_error,
-            "step_error_budget": STEP_ERROR_BUDGET,
+            "step_error_budget": sm.STEP_ERROR_BUDGET,
             "traces": self.traces,
             "passed": self.passed,
             "violations": self.violations,
@@ -285,7 +284,7 @@ def check_sound(sys, tga, strategy, x0_cells, samples, horizon, step, seed=0,
     replays it through restrict(tga, strategy). Any trace whose timing the
     automaton cannot reproduce is recorded as a violation; with sound bounds
     there must be none. The report also records the step and the largest
-    ``HybridTrace.step_error``, to be held against ``STEP_ERROR_BUDGET``.
+    ``HybridTrace.step_error``, to be held against ``sim.STEP_ERROR_BUDGET``.
     Each trace's replayed guards and invariants get the tolerance
     ``epsilon_t`` of its own ``step_error``.
     """

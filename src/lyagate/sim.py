@@ -216,7 +216,7 @@ def default_step(sys, controls, families):
     ``STEP_PROBES``-point grid under each control, and ``_step_errors``
     turns it into the event-time error of every phi (a phi that does not
     move over the step is skipped, and so is a point where the field or a
-    phi fails). rho, the largest of these per unit of step time, is a
+    phi hits a float domain error or overflows). rho, the largest of these per unit of step time, is a
     trace's ``step_error`` per unit of stay time at the cap.
 
     Contract: the error grows as ``h**4`` and in proportion to stay length,
@@ -226,6 +226,12 @@ def default_step(sys, controls, families):
     time error is unbounded where the exit is tangential, so no probe can
     size it), are not covered by the rule; every trace still measures its
     own ``step_error``, and the CLI warns when it is over budget.
+
+    Box exits are only seen at step ends: a trajectory that leaves the box
+    and comes back within one step makes no event and adds nothing to
+    ``step_error``, so neither the trace nor ``check_sound`` reports that
+    excursion. A longer step spans more time in which this can happen;
+    give a smaller ``--step`` where short excursions matter.
     """
     pts = sys.domain.grid(STEP_GRID)
     fastest = float("inf")
@@ -252,8 +258,7 @@ def default_step(sys, controls, families):
             try:
                 xn = _advance(step_fn, x, cap, 0.0)
                 errs = _step_errors(step_fn, x, xn, cap, 0.0, phi_fns)
-            except (NonFiniteStateError, EvalDomainError, ArithmeticError,
-                    ValueError):
+            except (NonFiniteStateError, EvalDomainError, ArithmeticError):
                 continue
             rho = max([rho] + [e / cap for e in errs if isfinite(e)])
     if rho == 0.0:
@@ -453,14 +458,23 @@ def _step_errors(step_fn, x, xn, step, t, values):
     step (the secant of the value over the step, i.e. the mean of
     ``L_g phi`` or of ``f_d``), is the shift that error causes in the time
     at which the value reaches a threshold: inf when the value differs but
-    does not move.
+    does not move. A value that cannot be evaluated raises as ``_advance``
+    does.
     """
     half = 0.5 * step
     xh = _advance(step_fn, _advance(step_fn, x, half, t), half, t + half)
     errors = []
     for value in values:
-        diff = abs(value(xn) - value(xh))
-        rate = abs(value(xn) - value(x)) / step
+        try:
+            v, vn, vh = value(x), value(xn), value(xh)
+        except ZeroDivisionError as err:
+            raise EvalDomainError("division by zero", x, ()) from err
+        except ValueError as err:
+            if str(err) != "math domain error":
+                raise
+            raise EvalDomainError("math domain error", x, ()) from err
+        diff = abs(vn - vh)
+        rate = abs(vn - v) / step
         errors.append(0.0 if diff == 0.0 else
                       diff / rate if rate > 0.0 else float("inf"))
     return errors

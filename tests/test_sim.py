@@ -11,6 +11,7 @@ import lyagate as lg
 from lyagate import cli
 from lyagate import conformance as cf
 from lyagate import expr as ex
+from lyagate import sim as sm
 from lyagate.errors import (
     ChatteringError, EvalDomainError, LyagateError, ModelError,
     NonFiniteStateError, StrategyError,
@@ -357,7 +358,6 @@ class TestReplayedTrajectory:
         """A `check_sound` batch reads each trace's run and step error only,
         so it never builds samples: it replays no stay. Reading one trace's
         trajectory afterwards replays each of its visits once."""
-        import lyagate.sim as sm
         replays = []
         real = sm._replay
 
@@ -513,6 +513,19 @@ class TestTraceArtifacts:
         h = lg.default_step(ex1d.sys, ex1d.controls, [fam])
         assert 0.0 < h < 0.25
 
+    def test_default_step_raises_any_other_fault_in_phi(self, ex1d,
+                                                       monkeypatch):
+        """Only a float domain error skips a probe: any other fault in
+        evaluating phi raises instead of dropping probes from rho."""
+        def broken(expr):
+            def phi(x):
+                raise ValueError("not a domain error")
+            return phi
+
+        monkeypatch.setattr(ex, "compile_scalar", broken)
+        with pytest.raises(ValueError, match="not a domain error"):
+            lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+
     def test_default_step_needs_motion_across_a_band(self, ex1d):
         sysz = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
                                 f=(ex.parse_expression("0*x1 + u1", 1, 1),))
@@ -537,17 +550,16 @@ class TestStepError:
         return complex, kappa, h
 
     def test_default_step_event_times_example1d(self, ex1d):
-        """The rule's contract on runs of 10 time units: the event times,
-        and the error estimate, stay within a tenth of the budget (measured
-        worst event-time error 1.19e-9)."""
-        h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+        """At 1% of the fastest band traversal (4/900) the event times are
+        closed-form to 1e-9; ``TestDefaultStepRule`` holds the default
+        step's event times to its contract."""
+        h = 0.01 * 8.0 / 18.0
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
         for x0 in np.linspace(1.05, 2.99, 40):
             tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
                                          10.0, h, controls=ex1d.controls)
-            assert tr.events[0].time == pytest.approx(
-                math.log(x0), abs=cf.STEP_ERROR_BUDGET / 10.0)
-            assert tr.step_error <= cf.STEP_ERROR_BUDGET / 10.0
+            assert tr.events[0].time == pytest.approx(math.log(x0), abs=1e-9)
+            assert tr.step_error <= sm.STEP_ERROR_BUDGET
 
     def test_default_step_keeps_thin_band_crossings(self, ex1d, thin):
         complex, kappa, h = thin
@@ -563,13 +575,13 @@ class TestStepError:
             for e in tr.events:
                 exact = math.log(x0 * x0 / e.level) / 2.0
                 assert abs(e.time - exact) <= cf.epsilon_t(tr.step_error)
-            assert 0.0 < tr.step_error <= cf.STEP_ERROR_BUDGET
+            assert 0.0 < tr.step_error <= sm.STEP_ERROR_BUDGET
 
     def test_hundredfold_step_exceeds_budget(self, ex1d, thin):
         complex, kappa, h = thin
         tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (2.5,),
                                      10.0, 100.0 * h, controls=ex1d.controls)
-        assert tr.step_error > cf.STEP_ERROR_BUDGET
+        assert tr.step_error > sm.STEP_ERROR_BUDGET
 
 
 class TestDefaultStepRule:
@@ -578,6 +590,19 @@ class TestDefaultStepRule:
     take the same run as a fine step and keep ``step_error`` within a
     tenth of the budget (the rule's contract for runs up to
     ``STEP_HORIZON``)."""
+
+    def test_event_times_example1d(self, ex1d):
+        """Runs of 10 time units at the default step: the closed-form event
+        times, and the error estimate, stay within a tenth of the budget
+        (measured worst event-time error 1.19e-9)."""
+        h = lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+        kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
+        for x0 in np.linspace(1.05, 2.99, 40):
+            tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex, (x0,),
+                                         10.0, h, controls=ex1d.controls)
+            assert tr.events[0].time == pytest.approx(
+                math.log(x0), abs=sm.STEP_ERROR_BUDGET / 10.0)
+            assert tr.step_error <= sm.STEP_ERROR_BUDGET / 10.0
 
     @pytest.mark.parametrize("name,goal,horizon", DEMO_REACH)
     def test_same_run_as_a_fine_step(self, name, goal, horizon):
@@ -608,4 +633,4 @@ class TestDefaultStepRule:
                                 horizon=horizon, step=spec.default_step(),
                                 seed=3, controls=spec.controls)
         assert report.traces == 48
-        assert 0.0 < report.max_step_error <= cf.STEP_ERROR_BUDGET / 10.0
+        assert 0.0 < report.max_step_error <= sm.STEP_ERROR_BUDGET / 10.0
