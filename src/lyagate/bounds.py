@@ -11,9 +11,16 @@ band, hence an upper and lower bound on the dwell time:
 Extrema come from a grid scan of the closed band (``band_mask``) refined by
 coordinate-wise golden-section search inside the slice, then rounded outward
 by 0.1% so that sampling error cannot make the stored extrema tighter than
-the true ones. The caller passes each control's equilibria, found once per
-build; one inside the band clamps inf to 0. inf = 0 encodes "no invariant";
-t_hi is then the explicit infinity, never a large float.
+the true ones. ``compute_bounds`` evaluates phi once per family and
+|phidot| once per (family, control) on the bounds grid, and takes each
+slice's masked argmin and argmax from those arrays. Each is refined by the
+kernel ``expr.compile_refine`` generates per (phi, phidot), which tests the
+raw band ``lo <= phi <= hi``; its results are bit for bit those of the
+golden-section loop over compiled-scalar closures that it replaced (the
+reference in ``tests/conftest.py``). The caller passes each control's
+equilibria, found once per build; one inside the band clamps inf to 0.
+inf = 0 encodes "no invariant"; t_hi is then the explicit infinity, never a
+large float.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .partition import Slice
 ROUND_OUT = 1e-3          # multiplicative outward safety margin on extrema
 _GOLDEN_ITERS = 60
 _REFINE_ITERS = 3         # coordinate sweeps of golden-section refinement
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -61,81 +67,38 @@ class TimingBounds:
     delta_a: float
 
 
-def _golden_min(fun, lo, hi):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(_GOLDEN_ITERS):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, *, equilibria):
-    """Grid scan of |phidot_g| over slice ∩ X plus golden-section refinement.
-
-    The infimum is clamped to zero when one of ``equilibria`` (the
-    ``critical_points`` of g) lies inside the slice band. Final values are
-    rounded outward by 0.1%.
-    """
-    phid = md.lie_derivative(sys, g, fam)
-    phid_v = ex.compile_vector(phid)
-    phid_s = ex.compile_scalar(phid)
-    phi_s = ex.compile_scalar(fam.phi)
-    phi_v = ex.compile_vector(fam.phi)
-
-    pts = sys.domain.grid(grid)
-    phis = phi_v(pts)
-    mask = fam.band_mask(slc.index, phis)
-    if not mask.any():
+def _band_rows(slc, fam, phis):
+    """Grid rows of slice ``slc`` by ``band_mask``, from phi on the grid."""
+    rows = np.flatnonzero(fam.band_mask(slc.index, phis))
+    if not len(rows):
         raise EmptySliceError("slice %d of family %d has no grid samples"
                               % (slc.index, slc.family))
-    sample_pts = pts[mask]
-    vals = np.abs(phid_v(sample_pts))
+    return rows
 
-    lo_b = sys.domain.lower
-    hi_b = sys.domain.upper
-    spacing = [(b - a) / (grid - 1) for a, b in zip(lo_b, hi_b)]
 
-    # Refinement runs on lists of floats. A candidate y differs from the
-    # current point, which lies in the box, only in coordinate d.
-    def feasible(y, d):
-        return lo_b[d] <= y[d] <= hi_b[d] and slc.lo <= phi_s(y) <= slc.hi
+def _abs_lie(sys, g, fam, pts):
+    """The expression phidot_g and |phidot_g| on the grid points ``pts``."""
+    phid = md.lie_derivative(sys, g, fam)
+    return phid, np.abs(ex.compile_vector(phid)(pts))
 
-    def refine(x0, maximize):
-        x = [float(v) for v in x0]
-        for _ in range(_REFINE_ITERS):
-            for d in range(sys.n):
-                a = max(lo_b[d], x[d] - spacing[d])
-                b = min(hi_b[d], x[d] + spacing[d])
 
-                def along(t, d=d):
-                    y = x.copy()
-                    y[d] = t
-                    if not feasible(y, d):
-                        return math.inf
-                    v = abs(phid_s(y))
-                    return -v if maximize else v
+def _extremal(slc, g, fam, sys, grid, pts, rows, phid, absd, equilibria):
+    """One (slice, control) entry from the shared grid scan: the masked
+    argmin and argmax of ``absd`` over ``rows``, each refined by the
+    generated golden-section kernel inside the raw band."""
+    vals = absd[rows]
+    refine = ex.compile_refine(fam.phi, phid, sys.n)
+    box = tuple(zip(sys.domain.lower, sys.domain.upper))
+    spacing = tuple((b - a) / (grid - 1) for a, b in box)
+    band = (slc.lo, slc.hi)
+    x_min, v_min = refine(pts[rows[int(np.argmin(vals))]].tolist(), False,
+                          box, spacing, band, _REFINE_ITERS, _GOLDEN_ITERS)
+    x_max, v_max = refine(pts[rows[int(np.argmax(vals))]].tolist(), True,
+                          box, spacing, band, _REFINE_ITERS, _GOLDEN_ITERS)
+    raw_inf = min(float(vals.min()), v_min)
+    raw_sup = max(float(vals.max()), v_max)
 
-                t_best, _ = _golden_min(along, a, b)
-                y = x.copy()
-                y[d] = t_best
-                if feasible(y, d):
-                    x = y
-        return np.array(x)
-
-    x_min = refine(sample_pts[int(np.argmin(vals))], maximize=False)
-    x_max = refine(sample_pts[int(np.argmax(vals))], maximize=True)
-    raw_inf = min(float(vals.min()), abs(phid_s(tuple(x_min))))
-    raw_sup = max(float(vals.max()), abs(phid_s(tuple(x_max))))
-
+    phi_s = ex.compile_scalar(fam.phi)
     for p in equilibria:
         if (fam.band_mask(slc.index, phi_s(tuple(p)))
                 and sys.domain.contains(p, tol=1e-9)):
@@ -148,8 +111,23 @@ def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, *, equilibria):
     return ExtremalDerivatives(
         family=slc.family, slice_index=slc.index, control=g.name,
         inf_abs=float(inf_abs), sup_abs=float(sup_abs),
-        argmin=tuple(float(v) for v in np.atleast_1d(x_min)),
-        argmax=tuple(float(v) for v in np.atleast_1d(x_max)))
+        argmin=tuple(float(v) for v in x_min),
+        argmax=tuple(float(v) for v in x_max))
+
+
+def extremal_lie_derivative(slc: Slice, g, fam, sys, grid=64, *, equilibria):
+    """Grid scan of |phidot_g| over slice ∩ X plus golden-section refinement:
+    the one-slice case of ``compute_bounds``.
+
+    The infimum is clamped to zero when one of ``equilibria`` (the
+    ``critical_points`` of g) lies inside the slice band. Final values are
+    rounded outward by 0.1%.
+    """
+    pts = sys.domain.grid(grid)
+    rows = _band_rows(slc, fam, ex.compile_vector(fam.phi)(pts))
+    phid, absd = _abs_lie(sys, g, fam, pts)
+    return _extremal(slc, g, fam, sys, grid, pts, rows, phid, absd,
+                     equilibria)
 
 
 def timing_bounds(ext: ExtremalDerivatives, delta_a):
@@ -221,10 +199,14 @@ def compute_bounds(sys, controls, families, slices_by_family, grid=64, *,
     and ``equilibria`` control name -> its ``critical_points``.
     """
     table = BoundsTable()
+    pts = sys.domain.grid(grid)
     for fam in families:
+        phis = ex.compile_vector(fam.phi)(pts)
+        lies = [(g, *_abs_lie(sys, g, fam, pts)) for g in controls]
         for slc in slices_by_family[fam.index]:
-            for g in controls:
-                ext = extremal_lie_derivative(
-                    slc, g, fam, sys, grid=grid, equilibria=equilibria[g.name])
+            rows = _band_rows(slc, fam, phis)
+            for g, phid, absd in lies:
+                ext = _extremal(slc, g, fam, sys, grid, pts, rows, phid, absd,
+                                equilibria[g.name])
                 table.add(ext, timing_bounds(ext, slc.width))
     return table

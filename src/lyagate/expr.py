@@ -27,7 +27,7 @@ __all__ = [
     "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Expression", "parse_expression", "eval_expression", "differentiate",
     "substitute", "variables", "to_text", "compile_scalar", "compile_vector",
-    "compile_step", "compile_stay",
+    "compile_step", "compile_stay", "compile_refine",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
@@ -729,3 +729,79 @@ def compile_stay(field_exprs, phi_exprs) -> Callable:
     lines += step
     lines.append("    return t, (%s,), None, h, k, tp, (%s,)" % (xs, ps))
     return _exec_def(lines, "stay")
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+@lru_cache(maxsize=None)
+def compile_refine(phi, lie, n) -> Callable:
+    """Compile the coordinate-sweep golden-section refinement of ``|lie|``
+    over one band of ``phi`` inside a box of dimension ``n``.
+
+    Returns ``refine(x, maximize, box, spacing, band, sweeps, iters)``.
+    From the start point ``x`` (a sequence of floats) it makes ``sweeps``
+    sweeps over the coordinates. For coordinate d it runs ``iters``
+    golden-section iterations on ``t`` over the bracket
+    ``[max(lo_d, x_d - spacing[d]), min(hi_d, x_d + spacing[d])]``, where
+    ``box`` holds one ``(lo, hi)`` pair per coordinate. The objective at a
+    trial point (``x`` with coordinate d set to ``t``) is ``|lie|``, negated
+    when ``maximize``; it is ``math.inf`` unless the trial passes
+    ``lo_d <= t <= hi_d`` and then ``band[0] <= phi <= band[1]``. The point
+    moves to the search's result when that point passes the same test. It
+    returns ``(point, |lie| at point)``.
+
+    Bit-identity contract: phi and lie are evaluated inline with the
+    operations of ``compile_scalar``, and the bracket ends, the golden
+    updates, the ``fc <= fd`` comparison and the short-circuited
+    box-then-band test run in the order of a golden-section loop over
+    closures that call the compiled scalars, so every argument and value
+    returned is bit for bit that loop's. Float errors inside phi or lie
+    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate.
+    """
+    idx = range(n)
+    xs = ", ".join("x%d" % i for i in idx)
+    ys = ", ".join("y%d" % i for i in idx)
+    phi_y = _emit(phi, _SCALAR_FUNCS, "y%d", "u%d")
+    lie_y = _emit(lie, _SCALAR_FUNCS, "y%d", "u%d")
+    lines = ["def refine(x, maximize, box, spacing, band, sweeps, iters):",
+             "    %s, = x" % xs,
+             "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx),
+             "    %s, = spacing" % ", ".join("sp%d" % i for i in idx),
+             "    fl, fh = band",
+             "    inf = math.inf",
+             "    invphi = %r" % _INVPHI,
+             "    for _ in range(sweeps):"]
+    for j in idx:
+        # the trial point y is x with coordinate j replaced
+        feasible = "bl%d <= y%d <= bh%d and fl <= %s <= fh" % (j, j, j, phi_y)
+
+        def trial(t, f, pad):
+            return [pad + "y%d = %s" % (j, t),
+                    pad + "if %s:" % feasible,
+                    pad + "    v = abs(%s)" % lie_y,
+                    pad + "    %s = -v if maximize else v" % f,
+                    pad + "else:",
+                    pad + "    %s = inf" % f]
+
+        lines += ["        %s, = %s," % (ys, xs),
+                  "        a = max(bl%d, x%d - sp%d)" % (j, j, j),
+                  "        b = min(bh%d, x%d + sp%d)" % (j, j, j),
+                  "        c = b - invphi * (b - a)",
+                  "        d = a + invphi * (b - a)"]
+        lines += trial("c", "fc", "        ") + trial("d", "fd", "        ")
+        lines += ["        for _ in range(iters):",
+                  "            if fc <= fd:",
+                  "                b, d, fd = d, c, fc",
+                  "                c = b - invphi * (b - a)"]
+        lines += trial("c", "fc", "                ")
+        lines += ["            else:",
+                  "                a, c, fc = c, d, fd",
+                  "                d = a + invphi * (b - a)"]
+        lines += trial("d", "fd", "                ")
+        lines += ["        y%d = c if fc <= fd else d" % j,
+                  "        if %s:" % feasible,
+                  "            x%d = y%d" % (j, j)]
+    lines.append("    return (%s,), abs(%s)"
+                 % (xs, _emit(lie, _SCALAR_FUNCS, "x%d", "u%d")))
+    return _exec_def(lines, "refine")

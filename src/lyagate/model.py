@@ -399,6 +399,15 @@ def _level_points(fam, levels, box, grid, limit, tol):
                                            np.split(keep, cuts))]
 
 
+def _distinct_rows(a):
+    """Number of distinct rows of a nonempty 2-D float array without NaN,
+    rows compared with float ``!=`` as ``np.unique(a, axis=0)`` does: one
+    lexicographic sort, then a count of the rows that differ from the row
+    before them."""
+    s = a[np.lexsort(a.T)]
+    return 1 + int(np.count_nonzero((s[1:] != s[:-1]).any(axis=1)))
+
+
 def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
     """Check that level sets inside the box are regular (|grad phi| >= EPS_REG).
 
@@ -428,7 +437,7 @@ def validate_levels(fam: PartitioningFamily, box: Box, grid=128):
         gnorm = np.sqrt(sum(gv(kept) ** 2 for gv in grad_vs))
         imin = int(np.argmin(gnorm))
         report.min_grad[a] = float(gnorm[imin])
-        report.samples[a] = len(np.unique(kept, axis=0))
+        report.samples[a] = _distinct_rows(kept)
         if gnorm[imin] < EPS_REG:
             raise DegenerateLevelError(fam.index, a, kept[imin], float(gnorm[imin]))
     return report

@@ -1,6 +1,7 @@
 """Shared fixtures: the 1-D toy system and the phase-plane navigation scenario."""
 
 import itertools
+import math
 from math import isfinite
 from operator import itemgetter
 
@@ -10,7 +11,7 @@ import pytest
 import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
-from lyagate.errors import NonFiniteStateError, OutOfDomainError
+from lyagate.errors import EmptySliceError, NonFiniteStateError, OutOfDomainError
 
 
 class Example1D:
@@ -325,3 +326,314 @@ def reference_locate():
 @pytest.fixture(scope="session")
 def reference_bisect_crossing():
     return _reference_bisect_crossing
+
+
+# Two specs outside the linear-quadratic class: ROADMAP item 9's pendulum
+# recipe (sin and cos) and a quartic phi (``^4`` and ``^3``).
+PENDULUM_SPEC = {
+    "state_dim": 2, "input_dim": 1,
+    "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+    "dynamics": ["x2", "-sin(x1) + u1"],
+    "controls": {"damp": ["-x2"], "firm": ["-x1 - 2*x2"]},
+    "partitions": [{"phi": "1 - cos(x1) + 0.5*x2^2 + 0.25*x1*x2",
+                    "levels": [0.0, 0.1, 0.4, 1.0, 2.0, 5.0]}],
+    "grid": {"points_per_dim": 96, "admissibility": 96},
+}
+QUARTIC_SPEC = {
+    "state_dim": 2, "input_dim": 1,
+    "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+    "dynamics": ["x2", "-x1^3 + u1"],
+    "controls": {"brake": ["-x2"], "firm": ["-x1 - x2"]},
+    "partitions": [{"phi": "0.25*x1^4 + 0.5*x2^2",
+                    "levels": [0.0, 0.5, 2.0, 6.5]}],
+    "grid": {"points_per_dim": 96, "admissibility": 96},
+}
+
+
+def _random_linear_system(rng, dim):
+    """Random stable linear field with a matching quadratic level function."""
+    from scipy.linalg import solve_lyapunov
+    if dim == 1:
+        a = -float(rng.uniform(0.5, 2.0))
+        A = np.array([[a]])
+    else:
+        while True:
+            A = rng.uniform(-1.5, 1.5, size=(2, 2))
+            A = A - (np.max(np.real(np.linalg.eigvals(A))) + 0.7) * np.eye(2)
+            if np.max(np.real(np.linalg.eigvals(A))) < -0.3:
+                break
+    P = solve_lyapunov(A.T, -np.eye(dim))
+    box = lg.Box((-2.0,) * dim, (2.0,) * dim)
+
+    def fmt(v):
+        return repr(float(v))
+
+    terms = []
+    for i in range(dim):
+        row = " + ".join("%s*x%d" % (fmt(A[i, j]), j + 1) for j in range(dim))
+        terms.append("%s + 0*u1" % row)
+    sysr = lg.ControlSystem(
+        n=dim, m=1, domain=box,
+        f=tuple(ex.parse_expression(t, dim, 1) for t in terms))
+    g = lg.ControlLaw("hold", (ex.parse_expression("0", dim, 0),))
+
+    quad = []
+    for i in range(dim):
+        for j in range(dim):
+            quad.append("%s*x%d*x%d" % (fmt(P[i, j]), i + 1, j + 1))
+    phi = ex.parse_expression(" + ".join(quad), dim, 0)
+    phi_v = ex.compile_vector(phi)
+    vmax = float(phi_v(box.grid(32)).max())
+    lv1 = float(rng.uniform(0.15, 0.4)) * vmax
+    fam = lg.PartitioningFamily(index=1, phi=phi,
+                                levels=(0.0, lv1, vmax * 1.0001))
+    return sysr, g, fam
+
+
+_REF_GOLDEN_ITERS = 60
+_REF_REFINE_ITERS = 3
+_REF_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _reference_golden_min(fun, lo, hi):
+    a, b = lo, hi
+    c = b - _REF_INVPHI * (b - a)
+    d = a + _REF_INVPHI * (b - a)
+    fc, fd = fun(c), fun(d)
+    for _ in range(_REF_GOLDEN_ITERS):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - _REF_INVPHI * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _REF_INVPHI * (b - a)
+            fd = fun(d)
+    return (c, fc) if fc <= fd else (d, fd)
+
+
+def _reference_extremal(slc, g, fam, sys, grid=64, *, equilibria):
+    """`bounds.extremal_lie_derivative` before `expr.compile_refine`
+    generated its refinement, the reference for that kernel and for
+    `bounds.compute_bounds`: a grid scan of the slice's own points, then
+    golden-section line searches over closures that call the compiled
+    scalars, 3 sweeps of 60 iterations per coordinate."""
+    phid = md.lie_derivative(sys, g, fam)
+    phid_v = ex.compile_vector(phid)
+    phid_s = ex.compile_scalar(phid)
+    phi_s = ex.compile_scalar(fam.phi)
+    phi_v = ex.compile_vector(fam.phi)
+
+    pts = sys.domain.grid(grid)
+    phis = phi_v(pts)
+    mask = fam.band_mask(slc.index, phis)
+    if not mask.any():
+        raise EmptySliceError("slice %d of family %d has no grid samples"
+                              % (slc.index, slc.family))
+    sample_pts = pts[mask]
+    vals = np.abs(phid_v(sample_pts))
+
+    lo_b = sys.domain.lower
+    hi_b = sys.domain.upper
+    spacing = [(b - a) / (grid - 1) for a, b in zip(lo_b, hi_b)]
+
+    # Refinement runs on lists of floats. A candidate y differs from the
+    # current point, which lies in the box, only in coordinate d.
+    def feasible(y, d):
+        return lo_b[d] <= y[d] <= hi_b[d] and slc.lo <= phi_s(y) <= slc.hi
+
+    def refine(x0, maximize):
+        x = [float(v) for v in x0]
+        for _ in range(_REF_REFINE_ITERS):
+            for d in range(sys.n):
+                a = max(lo_b[d], x[d] - spacing[d])
+                b = min(hi_b[d], x[d] + spacing[d])
+
+                def along(t, d=d):
+                    y = x.copy()
+                    y[d] = t
+                    if not feasible(y, d):
+                        return math.inf
+                    v = abs(phid_s(y))
+                    return -v if maximize else v
+
+                t_best, _ = _reference_golden_min(along, a, b)
+                y = x.copy()
+                y[d] = t_best
+                if feasible(y, d):
+                    x = y
+        return np.array(x)
+
+    x_min = refine(sample_pts[int(np.argmin(vals))], maximize=False)
+    x_max = refine(sample_pts[int(np.argmax(vals))], maximize=True)
+    raw_inf = min(float(vals.min()), abs(phid_s(tuple(x_min))))
+    raw_sup = max(float(vals.max()), abs(phid_s(tuple(x_max))))
+
+    for p in equilibria:
+        if (fam.band_mask(slc.index, phi_s(tuple(p)))
+                and sys.domain.contains(p, tol=1e-9)):
+            raw_inf = 0.0
+            x_min = tuple(p)
+            break
+
+    inf_abs = raw_inf * (1.0 - 1e-3)
+    sup_abs = raw_sup * (1.0 + 1e-3)
+    return lg.ExtremalDerivatives(
+        family=slc.family, slice_index=slc.index, control=g.name,
+        inf_abs=float(inf_abs), sup_abs=float(sup_abs),
+        argmin=tuple(float(v) for v in np.atleast_1d(x_min)),
+        argmax=tuple(float(v) for v in np.atleast_1d(x_max)))
+
+
+@pytest.fixture(scope="session")
+def reference_extremal():
+    return _reference_extremal
+
+
+def _quadratic(e, n):
+    """(H, g, c) with e(x) = x.H.x/2 + g.x + c, read from the derivatives of
+    ``e`` at 0, which are exact for a quadratic. Refuses an ``e`` whose
+    third derivatives do not all fold to 0: it is not quadratic."""
+    names = ["x%d" % (i + 1) for i in range(n)]
+    first = [ex.differentiate(e, v) for v in names]
+    second = [[ex.differentiate(d1, v) for v in names] for d1 in first]
+    for row in second:
+        for d2 in row:
+            for v in names:
+                d3 = ex.differentiate(d2, v)
+                if not (isinstance(d3, ex.Const) and d3.value == 0.0):
+                    raise ValueError("not quadratic: %s" % ex.to_text(e))
+    zero = (0.0,) * n
+    H = np.array([[ex.eval_expression(d2, zero) for d2 in row]
+                  for row in second])
+    g = np.array([ex.eval_expression(d1, zero) for d1 in first])
+    return H, g, ex.eval_expression(e, zero)
+
+
+def _restrict(quad, fixed, free):
+    """The quadratic ``quad`` over the coordinates ``free``, with the
+    coordinates of ``fixed`` ({index: value}) held at their values."""
+    H, g, c = quad
+    fi = list(fixed)
+    e = np.array([fixed[i] for i in fi])
+    Hf = H[np.ix_(free, free)]
+    gf = g[free] + H[np.ix_(free, fi)] @ e
+    cf = c + g[fi] @ e + 0.5 * e @ H[np.ix_(fi, fi)] @ e
+    return Hf, gf, cf
+
+
+def _real_roots(coeffs):
+    roots = np.roots(coeffs) if np.any(coeffs) else []
+    return [r.real for r in roots if abs(r.imag) <= 1e-7 * (1.0 + abs(r))]
+
+
+def _critical(quad):
+    """The critical point of a quadratic when its Hessian is regular; a
+    singular one leaves a line of equal values, whose ends lie on faces."""
+    H, g, _ = quad
+    try:
+        return [np.linalg.solve(H, -g)]
+    except np.linalg.LinAlgError:
+        return []
+
+
+def _on_level(lie, phi, a):
+    """KKT points of ``lie`` on {phi = a} in one or two free coordinates."""
+    Hl, gl, _ = lie
+    Hp, gp, cp = phi
+    if len(gp) == 1:
+        return [np.array([y]) for y in
+                _real_roots([0.5 * Hp[0, 0], gp[0], cp - a])]
+    P = np.polynomial.polynomial
+    M = [[np.array([Hl[i, j], -Hp[i, j]]) for j in range(2)] for i in range(2)]
+    det = P.polysub(P.polymul(M[0][0], M[1][1]), P.polymul(M[0][1], M[1][0]))
+    out = []
+    if not (gp.any() or gl.any()):
+        # forms: grad lie = lam grad phi is the generalized eigenproblem
+        # (Hl - lam Hp) v = 0; each eigenvector is scaled onto the level
+        for lam in _real_roots(det[::-1]):
+            row = max(Hl - lam * Hp, key=lambda r: abs(r[0]) + abs(r[1]))
+            v = np.array([row[1], -row[0]]) if row.any() else np.array([1.0, 0.0])
+            s2 = (a - cp) / (0.5 * v @ Hp @ v)
+            if s2 >= 0.0:
+                out += [math.sqrt(s2) * v, -math.sqrt(s2) * v]
+        return out
+    # with linear terms: x(lam) = adj(M) r / det(M), M = Hl - lam Hp,
+    # r = lam gp - gl, and phi(x(lam)) = a is a quartic in lam
+    r = [np.array([-gl[i], gp[i]]) for i in range(2)]
+    N = [P.polysub(P.polymul(M[1][1], r[0]), P.polymul(M[0][1], r[1])),
+         P.polysub(P.polymul(M[0][0], r[1]), P.polymul(M[1][0], r[0]))]
+    quart = P.polymul(P.polymul(det, det), [cp - a])
+    for i in range(2):
+        quart = P.polyadd(quart, P.polymul(P.polymul(det, N[i]), [gp[i]]))
+        for j in range(2):
+            quart = P.polyadd(quart, P.polymul(P.polymul(N[i], N[j]),
+                                               [0.5 * Hp[i, j]]))
+    for lam in _real_roots(quart[::-1]):
+        dv = P.polyval(lam, det)
+        if dv != 0.0:
+            out.append(np.array([P.polyval(lam, N[0]),
+                                 P.polyval(lam, N[1])]) / dv)
+    return out
+
+
+def _exact_extremal(sys, g, fam, h):
+    """Exact inf and sup of |L_g phi| over slice h of ``fam`` within the
+    box, for an affine closed loop and a quadratic phi in 1-D or 2-D (so
+    L_g phi is quadratic too), with their argmin and argmax.
+
+    The extrema of L over band ∩ box lie among the KKT points of each face
+    of the box (the box itself, its edges, its corners): per face, the
+    critical point of L and L's Lagrange points on each of the two levels.
+    The candidates that ``band_mask``'s rule admits are kept. Where L takes
+    both signs over them, inf is 0 and its argmin None (the band ∩ box of
+    every spec tested here is connected)."""
+    n = sys.n
+    if n > 2:
+        raise ValueError("the exact oracle covers 1-D and 2-D")
+    phi = _quadratic(fam.phi, n)
+    lie = _quadratic(md.lie_derivative(sys, g, fam), n)
+    lo, hi = sys.domain.lower, sys.domain.upper
+    levels = fam.band(h)
+    cands = []
+    for fixed_idx in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)):
+        free = [i for i in range(n) if i not in fixed_idx]
+        for ends in itertools.product(*[(lo[i], hi[i]) for i in fixed_idx]):
+            fixed = dict(zip(fixed_idx, ends))
+
+            def place(y):
+                x = np.empty(n)
+                x[free] = y
+                for i, v in fixed.items():
+                    x[i] = v
+                return x
+
+            if not free:
+                cands.append(place([]))
+                continue
+            lie_f = _restrict(lie, fixed, free)
+            phi_f = _restrict(phi, fixed, free)
+            cands += [place(y) for y in _critical(lie_f)]
+            for a in levels:
+                cands += [place(y) for y in _on_level(lie_f, phi_f, a)]
+    phi_s = ex.compile_scalar(fam.phi)
+    lie_s = ex.compile_scalar(md.lie_derivative(sys, g, fam))
+    kept = []
+    for x in cands:
+        if not sys.domain.contains(x, tol=1e-9):
+            continue
+        x = tuple(float(v) for v in np.clip(x, lo, hi))
+        if fam.band_mask(h, phi_s(x)):
+            kept.append((lie_s(x), x))
+    vals = [v for v, _ in kept]
+    v_max, x_max = max(kept, key=lambda vx: abs(vx[0]))
+    if min(vals) <= 0.0 <= max(vals) and 0.0 not in vals:
+        return 0.0, abs(v_max), None, x_max
+    v_min, x_min = min(kept, key=lambda vx: abs(vx[0]))
+    return abs(v_min), abs(v_max), x_min, x_max
+
+
+@pytest.fixture(scope="session")
+def exact_extremal():
+    return _exact_extremal

@@ -12,6 +12,8 @@ from lyagate import conformance as cf
 from lyagate import expr as ex
 from lyagate import game as gm
 
+from conftest import _random_linear_system
+
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
 
@@ -215,46 +217,6 @@ def test_start_clock_respects_invariant():
         initial_valuation=cf.initial_valuation(auto, complex, cell, "firm", x0),
         final_dwell=final_dwell, tol=cf.epsilon_t(trace.step_error))
     assert rr.feasible, rr.first_violation()
-
-
-def _random_linear_system(rng, dim):
-    """Random stable linear field with a matching quadratic level function."""
-    from scipy.linalg import solve_lyapunov
-    if dim == 1:
-        a = -float(rng.uniform(0.5, 2.0))
-        A = np.array([[a]])
-    else:
-        while True:
-            A = rng.uniform(-1.5, 1.5, size=(2, 2))
-            A = A - (np.max(np.real(np.linalg.eigvals(A))) + 0.7) * np.eye(2)
-            if np.max(np.real(np.linalg.eigvals(A))) < -0.3:
-                break
-    P = solve_lyapunov(A.T, -np.eye(dim))
-    box = lg.Box((-2.0,) * dim, (2.0,) * dim)
-
-    def fmt(v):
-        return repr(float(v))
-
-    terms = []
-    for i in range(dim):
-        row = " + ".join("%s*x%d" % (fmt(A[i, j]), j + 1) for j in range(dim))
-        terms.append("%s + 0*u1" % row)
-    sysr = lg.ControlSystem(
-        n=dim, m=1, domain=box,
-        f=tuple(ex.parse_expression(t, dim, 1) for t in terms))
-    g = lg.ControlLaw("hold", (ex.parse_expression("0", dim, 0),))
-
-    quad = []
-    for i in range(dim):
-        for j in range(dim):
-            quad.append("%s*x%d*x%d" % (fmt(P[i, j]), i + 1, j + 1))
-    phi = ex.parse_expression(" + ".join(quad), dim, 0)
-    phi_v = ex.compile_vector(phi)
-    vmax = float(phi_v(box.grid(32)).max())
-    lv1 = float(rng.uniform(0.15, 0.4)) * vmax
-    fam = lg.PartitioningFamily(index=1, phi=phi,
-                                levels=(0.0, lv1, vmax * 1.0001))
-    return sysr, g, fam
 
 
 @pytest.mark.parametrize("seed,dim", [(s, d) for s in range(5) for d in (1, 2)])

@@ -191,6 +191,24 @@ class TestValidateLevels:
         rep = lg.validate_levels(ex1d.fam, ex1d.box)
         assert rep.samples == {1.0: 2, 9.0: 2}
 
+    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    def test_distinct_rows_counts_as_unique(self, request, scenario):
+        """The sort-and-compare count equals ``len(np.unique(a, axis=0))``
+        on every polished level block validate_levels counts, and on rows
+        that differ only in the sign of a zero or repeat out of order."""
+        sc = request.getfixturevalue(scenario)
+        blocks = [np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, -3.0], [0.0, 1.0],
+                            [2.0, -3.0], [2.0, 5.0]])]
+        for fam in sc.families:
+            blocks += md._level_points(fam, fam.levels, sc.box, 128,
+                                       limit=512, tol=1e-7)
+        counted = 0
+        for a in blocks:
+            if len(a):
+                assert md._distinct_rows(a) == len(np.unique(a, axis=0))
+                counted += 1
+        assert counted >= 3
+
 
 def test_level_polish_runs_once_per_family(monkeypatch):
     """Building both automata on a fresh phase_plane Pipeline samples each
