@@ -27,7 +27,8 @@ __all__ = [
     "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "Expression", "parse_expression", "eval_expression", "differentiate",
     "substitute", "variables", "to_text", "compile_scalar", "compile_vector",
-    "compile_step", "compile_stay", "compile_refine",
+    "compile_step", "compile_stay", "compile_refine", "compile_polish",
+    "compile_bisect",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
@@ -636,7 +637,7 @@ def _rk4_body(exprs, pad):
 
 
 def _exec_def(lines, name):
-    namespace = {"math": math, "_sign": _py_sign, "abs": abs}
+    namespace = {"math": math, "np": np, "_sign": _py_sign, "abs": abs}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -805,3 +806,154 @@ def compile_refine(phi, lie, n) -> Callable:
     lines.append("    return (%s,), abs(%s)"
                  % (xs, _emit(lie, _SCALAR_FUNCS, "x%d", "u%d")))
     return _exec_def(lines, "refine")
+
+
+def _emit_column(e, col="c"):
+    """``e`` over the column arrays ``c0, c1, ...`` (named by ``col``) with
+    the operations of ``compile_vector``, its ``+ 0.0 * X[:, 0]`` term
+    included."""
+    return "(%s) + 0.0 * %s0" % (_emit(e, _VECTOR_FUNCS, col + "%d", "U%d"),
+                                 col)
+
+
+def _compact(mask, names, pad):
+    """Source lines that keep the rows of ``mask`` in every named array."""
+    return ["%s%s = %s[%s]" % (pad, a, a, mask) for a in names]
+
+
+@lru_cache(maxsize=None)
+def compile_polish(phi, grads, n) -> Callable:
+    """Compile the row-wise Gauss-Newton projection onto levels of ``phi``,
+    ``grads`` being its gradient components over ``x1..xn``.
+
+    Returns ``polish(x, level, scale, box, rounds)``, which moves the rows
+    of the (N, n) array ``x`` in place. Row i is projected onto
+    ``phi = level[i]``: up to ``rounds`` times, with ``r = phi(x) -
+    level[i]``, gradient ``g`` and ``g2 = g . g``, the row stops when
+    ``|r| < 1e-14 * scale[i]`` or ``g2 < 1e-30``, else moves to
+    ``x - r * g / g2``, clipped into ``box`` (one ``(lo, hi)`` pair per
+    coordinate); it also stops once a step leaves its bits unchanged.
+
+    The kernel keeps one contiguous array per coordinate holding the live
+    rows only. It compacts them on a round where some row stops, and writes
+    a row back to ``x`` when it stops.
+
+    Bit-identity contract: phi and every gradient component are evaluated
+    inline with the operations of ``compile_vector`` (its ``+ 0.0 *
+    X[:, 0]`` term included, which gives a constant component its array
+    shape and fixes signed zeros and non-finite rows); ``g2`` comes from
+    the batched ``matmul`` of the stacked gradient rows, because a plain
+    ``g0 * g0 + g1 * g1`` rounds apart from BLAS, which uses FMA; the step
+    is ``x - r * g / g2``, clipped by ``np.minimum(np.maximum(., lo), hi)``,
+    which matches the ``np.clip`` of the (N, n) rows against the box
+    vectors bit for bit; and the fixed-point test compares bits. So every
+    row ends where a loop over whole (N, n) arrays of those compiled
+    vectors ends it.
+    """
+    idx = range(n)
+    cs = ["c%d" % i for i in idx]
+    ns = ["n%d" % i for i in idx]
+    lines = ["def polish(x, level, scale, box, rounds):",
+             "    rows = np.arange(len(x))",
+             "    %s, = %s," % (", ".join(cs),
+                               ", ".join("x[:, %d]" % i for i in idx)),
+             "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx),
+             "    lv, sc = level, scale",
+             "    for _ in range(rounds):",
+             "        if not len(rows):",
+             "            break",
+             "        r = (%s) - lv" % _emit_column(phi)]
+    lines += ["        g%d = %s" % (i, _emit_column(e))
+              for i, e in enumerate(grads)]
+    lines += ["        g = np.stack((%s,), axis=1)"
+              % ", ".join("g%d" % i for i in idx),
+              "        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]",
+              "        go = (np.abs(r) >= 1e-14 * sc) & (g2 >= 1e-30)",
+              "        if not go.all():",
+              "            out = rows[~go]"]
+    lines += ["            x[out, %d] = c%d[~go]" % (i, i) for i in idx]
+    lines += _compact("go", ["rows", "lv", "sc", "r", "g2"] + cs
+                      + ["g%d" % i for i in idx], "            ")
+    lines += ["        n%d = np.minimum(np.maximum(c%d - r * g%d / g2, bl%d), bh%d)"
+              % ((i,) * 5) for i in idx]
+    lines += ["        moved = %s" % " | ".join(
+                  "(n%d.view(np.uint64) != c%d.view(np.uint64))" % (i, i)
+                  for i in idx),
+              "        if not moved.all():",
+              "            out = rows[~moved]"]
+    lines += ["            x[out, %d] = n%d[~moved]" % (i, i) for i in idx]
+    lines += _compact("moved", ["rows", "lv", "sc"] + ns, "            ")
+    lines.append("        %s, = %s," % (", ".join(cs), ", ".join(ns)))
+    lines += ["    x[rows, %d] = c%d" % (i, i) for i in idx]
+    return _exec_def(lines, "polish")
+
+
+@lru_cache(maxsize=None)
+def compile_bisect(phi, n) -> Callable:
+    """Compile the row-wise bisection of segments onto levels of ``phi``
+    over ``x1..xn``.
+
+    Returns ``bisect(p, q, levels, iters)``: for (k, n) arrays ``p`` and
+    ``q`` and a (k,) array ``levels``, the (k, n) array of points
+    ``p + t * (q - p)`` where phi crosses each row's level. With ``d = q -
+    p``, ``stat_lo = phi(p) - level``, ``lo = 0`` and ``hi = 1``, each row
+    halves ``[lo, hi]`` at most ``iters`` times: the probe ``p + mid * d``
+    at ``mid = 0.5 * (lo + hi)`` moves ``lo`` (and ``stat_lo``) when
+    ``(fm > 0) == (stat_lo > 0)`` for ``fm = phi(probe) - level``, else
+    ``hi``. A row stops early once ``mid`` rounds to ``lo`` or ``hi``, and
+    ``t = 0.5 * (lo + hi)``, which for a stopped row is that ``mid``.
+
+    The early stop is a fixed point, so the row ends where the full count
+    ends it. ``stat_lo`` only takes the value of a probe on the same side
+    as ``phi(p) - level``, and ``hi`` only moves to a probe on the other
+    side. If ``mid == lo`` with ``lo > 0``, the probe repeats the one that
+    set ``lo`` and ``stat_lo``, so it lands on the same side and changes
+    nothing (``lo == 0`` cannot recur, as ``hi`` stays at or above
+    ``2**-iters``). If ``mid == hi < 1``, the probe repeats the one that set
+    ``hi`` and changes nothing. If ``mid == hi == 1.0``, then ``lo == 1 -
+    2**-53`` and the probe may set ``lo`` to 1.0, but both before and after,
+    ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later midpoints,
+    and the final ``t``, stay the same.
+
+    The kernel keeps one contiguous array per coordinate of ``p`` and ``d``
+    holding the live rows only, and compacts the live arrays on a round
+    where some row stops.
+
+    Bit-identity contract: phi is evaluated inline with the operations of
+    ``compile_vector`` (its ``+ 0.0 * X[:, 0]`` term included), and the
+    probe, the side test and the stop are the operations above in that
+    order, so every point is bit for bit that of a loop that bisects every
+    row over whole (k, n) arrays with the compiled vector phi.
+    """
+    idx = range(n)
+    ps = ["p%d" % i for i in idx]
+    ds = ["d%d" % i for i in idx]
+    lines = ["def bisect(p, q, levels, iters):",
+             "    rows = np.arange(len(p))",
+             "    %s, = %s," % (", ".join(ps),
+                               ", ".join("p[:, %d]" % i for i in idx)),
+             "    %s, = %s," % (", ".join(ds), ", ".join(
+                 "q[:, %d] - p%d" % (i, i) for i in idx)),
+             "    lv = levels",
+             "    st = (%s) - lv" % _emit_column(phi, "p"),
+             "    lo = np.zeros(len(p))",
+             "    hi = np.ones(len(p))",
+             "    t = np.empty(len(p))",
+             "    for _ in range(iters):",
+             "        mid = 0.5 * (lo + hi)",
+             "        moving = (mid != lo) & (mid != hi)",
+             "        if not moving.all():",
+             "            t[rows[~moving]] = mid[~moving]"]
+    lines += _compact("moving", ["rows", "mid", "lo", "hi", "st", "lv"]
+                      + ps + ds, "            ")
+    lines += ["            if not len(rows):",
+              "                break"]
+    lines += ["        c%d = p%d + mid * d%d" % (i, i, i) for i in idx]
+    lines += ["        fm = (%s) - lv" % _emit_column(phi),
+              "        same = (fm > 0) == (st > 0)",
+              "        lo = np.where(same, mid, lo)",
+              "        st = np.where(same, fm, st)",
+              "        hi = np.where(same, hi, mid)",
+              "    t[rows] = 0.5 * (lo + hi)",
+              "    return p + t[:, None] * (q - p)"]
+    return _exec_def(lines, "bisect")

@@ -25,6 +25,7 @@ R_CRIT = 1e-3         # exclusion radius around critical points of f_g
 CRIT_CANDIDATES = 32  # grid minima of |f_g|^2 polished by Newton
 LEVEL_SAMPLES = 256   # grid points polished onto a level by sample_level_set
 _NEWTON_ITERS = 30
+_POLISH_ROUNDS = 40   # Gauss-Newton steps per level-set point at most
 _CRIT_RESIDUAL = 1e-8
 
 
@@ -348,22 +349,22 @@ class LevelReport:
 
 def _level_points(fam, levels, box, grid, limit, tol):
     """Points on phi = a for each level a, polished from the grid samples
-    nearest that level, all levels in one Gauss-Newton loop.
+    nearest that level, all levels in one Gauss-Newton kernel call.
 
     For each level, the ``limit`` grid points whose phi value lies closest
     to it are its candidates; each row carries its own level and scale
-    ``max(1, |a|)``, and every operation acts row by row, so a row ends
-    exactly where it would if its level were polished alone. The rows are
-    projected together, clipped to the box. A row stops once its residual
-    vanishes or its gradient degenerates, once a step leaves its bits
-    unchanged (a fixed point, so further steps would too), or after 40
-    steps.
+    ``max(1, |a|)``. The rows are projected together, clipped to the box,
+    by the kernel ``expr.compile_polish`` generates for phi and its
+    memoized ``gradient``. Every operation acts row by row, so a row ends
+    exactly where it would if its level were polished alone. A row stops
+    once its residual vanishes or its gradient degenerates, once a step
+    leaves its bits unchanged (a fixed point, so further steps would too),
+    or after ``_POLISH_ROUNDS`` steps.
     Rows whose final residual exceeds ``tol`` (relative to the level) are
     dropped. Returns one (k, n) array per entry of ``levels``, its rows in
     candidate order.
     """
     phi_v = ex.compile_vector(fam.phi)
-    grad_vs = [ex.compile_vector(e) for e in gradient(fam.phi, box.dim)]
     pts = box.grid(grid)
     vals = phi_v(pts)
     span = float(vals.max() - vals.min())
@@ -376,23 +377,8 @@ def _level_points(fam, levels, box, grid, limit, tol):
     x = pts[np.concatenate(picks)]
     level = np.repeat(np.asarray(levels, dtype=float), counts)
     scale = np.maximum(1.0, np.abs(level))
-    lo = np.asarray(box.lower)
-    hi = np.asarray(box.upper)
-    rows = np.arange(len(x))
-    for _ in range(40):
-        if not len(rows):
-            break
-        xr = x[rows]
-        r = phi_v(xr) - level[rows]
-        grad = np.stack([gv(xr) for gv in grad_vs], axis=1)
-        # row-wise BLAS dot: each row rounds exactly as ``g @ g`` would alone
-        g2 = (grad[:, None, :] @ grad[:, :, None])[:, 0, 0]
-        go = (np.abs(r) >= 1e-14 * scale[rows]) & (g2 >= 1e-30)
-        rows = rows[go]
-        old = xr[go]
-        new = np.clip(old - r[go, None] * grad[go] / g2[go, None], lo, hi)
-        x[rows] = new
-        rows = rows[(new.view(np.uint64) != old.view(np.uint64)).any(axis=1)]
+    polish = ex.compile_polish(fam.phi, gradient(fam.phi, box.dim), box.dim)
+    polish(x, level, scale, tuple(zip(box.lower, box.upper)), _POLISH_ROUNDS)
     keep = np.abs(phi_v(x) - level) <= tol * scale
     cuts = np.cumsum(counts)[:-1]
     return [block[ok] for block, ok in zip(np.split(x, cuts),

@@ -374,46 +374,6 @@ class LocateResult:
     boundary_families: tuple
 
 
-def _bisect_crossings(p, q, phi_v, levels):
-    """Points on the segments [p, q] where phi crosses each row's level.
-
-    p and q are (k, n) arrays, ``levels`` a (k,) array and ``phi_v`` phi
-    compiled by ``expr.compile_vector``. Each row's probe is
-    ``p + t * (q - p)``, and the result is a (k, n) array.
-
-    Each row halves [0, 1] at most ``_BISECT_ITERS`` times and stops early
-    once its midpoint rounds to ``lo`` or ``hi``. That is a fixed point, so
-    the row ends where the full count ends it. ``stat_lo`` only takes the
-    value of a probe on the same side as ``phi(p) - level``, and ``hi`` only
-    moves to a probe on the other side. If ``mid == lo`` with ``lo > 0``, the
-    probe repeats the one that set ``lo`` and ``stat_lo``, so it lands on the
-    same side and changes nothing (``lo == 0`` cannot recur, as ``hi`` stays
-    at or above 2**-_BISECT_ITERS). If ``mid == hi < 1``, the probe repeats
-    the one that set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then
-    ``lo == 1 - 2**-53`` and the probe may set ``lo`` to 1.0, but both before
-    and after, ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later
-    midpoints, and the final ``t = 0.5 * (lo + hi)``, stay the same.
-    """
-    d = q - p
-    stat_lo = phi_v(p) - levels
-    lo = np.zeros(len(p))
-    hi = np.ones(len(p))
-    rows = np.arange(len(p))
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo[rows] + hi[rows])
-        moving = (mid != lo[rows]) & (mid != hi[rows])
-        rows, mid = rows[moving], mid[moving]
-        if not len(rows):
-            break
-        fm = phi_v(p[rows] + mid[:, None] * d[rows]) - levels[rows]
-        same = (fm > 0) == (stat_lo[rows] > 0)
-        lo[rows[same]] = mid[same]
-        stat_lo[rows[same]] = fm[same]
-        hi[rows[~same]] = mid[~same]
-    t = 0.5 * (lo + hi)
-    return p + t[:, None] * d
-
-
 def _level_edges(cell_index, ys):
     """Grid edges whose end cells' band tuples differ by one in one family.
 
@@ -458,7 +418,9 @@ def _build_raw(families, box, grid):
     structure = ndimage.generate_binary_structure(n, 1)
     cell_index = -np.ones(shape, dtype=np.int64)
     cells_meta = []   # (y, z, first_flat_index)
-    for k in np.unique(key):
+    # the keys are nonnegative mixed-radix band codes, so the nonzero bins
+    # of their histogram are np.unique(key), sorted the same way
+    for k in np.flatnonzero(np.bincount(key.ravel())):
         mask = key == k
         first = int(np.argmax(mask.ravel()))
         y = tuple(int(lab.ravel()[first]) for lab in labels)
@@ -483,6 +445,13 @@ def _build_raw(families, box, grid):
 
 def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
     """Rasterize, flood-fill cells, and record level-surface adjacency.
+
+    Up to ``MAX_FACET_POINTS`` grid edges of each adjacent cell pair are
+    picked evenly in scan order, and each family's picked edges are
+    bisected onto their levels in one call of the kernel
+    ``expr.compile_bisect`` generates for its phi (``_BISECT_ITERS``
+    halvings at most); the facet points are that kernel's, bit for bit
+    those of a bisection loop over whole arrays of the compiled vector phi.
 
     With ``stability_check`` the construction is repeated at doubled
     resolution (2*grid - 1 points per axis keeps the original points) and a
@@ -540,10 +509,10 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
         if not mine:
             continue
         ends = edges[np.concatenate([picked for *_, picked in mine])]
-        found = _bisect_crossings(
-            pts[ends[:, 0]], pts[ends[:, 1]], ex.compile_vector(fam.phi),
+        found = ex.compile_bisect(fam.phi, box.dim)(
+            pts[ends[:, 0]], pts[ends[:, 1]],
             np.repeat([level for _, _, level, _ in mine],
-                      [len(picked) for *_, picked in mine]))
+                      [len(picked) for *_, picked in mine]), _BISECT_ITERS)
         found = map(tuple, found.tolist())
         for ia, ib, _, picked in mine:
             facets[ia, ib] = tuple(itertools.islice(found, len(picked)))

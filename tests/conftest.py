@@ -202,9 +202,9 @@ def _reference_locate(x, complex, eps_face=1e-9):
 
 
 def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
-    """Level crossing on [p, q] over numpy 2-vectors, the reference for
-    `partition._bisect_crossings`: the full 60 halvings, phi compiled by
-    `expr.compile_scalar`."""
+    """Level crossing on [p, q] over numpy 2-vectors, the reference for the
+    facet bisection (`expr.compile_bisect`): the full 60 halvings, phi
+    compiled by `expr.compile_scalar`."""
     p = np.array(p, dtype=float)
     q = np.array(q, dtype=float)
     stat_lo = phi_fn(tuple(p)) - level
@@ -220,6 +220,36 @@ def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
             hi = mid
     t = 0.5 * (lo + hi)
     return tuple(float(v) for v in p + t * (q - p))
+
+
+_BISECT_ITERS = 60
+
+
+def _reference_bisect_crossings(p, q, phi_v, levels):
+    """`partition._bisect_crossings` before `expr.compile_bisect` generated
+    it, the reference for that kernel: one bisection loop over whole (k, n)
+    arrays of phi compiled by `expr.compile_vector`, each row stopping once
+    its midpoint rounds to ``lo`` or ``hi``. Unlike the scalar
+    `_reference_bisect_crossing` it rounds powers as numpy does, so it can
+    judge a phi with ``^3``."""
+    d = q - p
+    stat_lo = phi_v(p) - levels
+    lo = np.zeros(len(p))
+    hi = np.ones(len(p))
+    rows = np.arange(len(p))
+    for _ in range(_BISECT_ITERS):
+        mid = 0.5 * (lo[rows] + hi[rows])
+        moving = (mid != lo[rows]) & (mid != hi[rows])
+        rows, mid = rows[moving], mid[moving]
+        if not len(rows):
+            break
+        fm = phi_v(p[rows] + mid[:, None] * d[rows]) - levels[rows]
+        same = (fm > 0) == (stat_lo[rows] > 0)
+        lo[rows[same]] = mid[same]
+        stat_lo[rows[same]] = fm[same]
+        hi[rows[~same]] = mid[~same]
+    t = 0.5 * (lo + hi)
+    return p + t[:, None] * d
 
 
 def _reference_level_edges(cell_index, ys):
@@ -326,6 +356,11 @@ def reference_locate():
 @pytest.fixture(scope="session")
 def reference_bisect_crossing():
     return _reference_bisect_crossing
+
+
+@pytest.fixture(scope="session")
+def reference_bisect_crossings():
+    return _reference_bisect_crossings
 
 
 # Two specs outside the linear-quadratic class: ROADMAP item 9's pendulum

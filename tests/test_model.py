@@ -8,11 +8,44 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lyagate as lg
+from lyagate import cli
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate.errors import AdmissibilityError, DegenerateLevelError, ModelError
 
+from conftest import PENDULUM_SPEC, QUARTIC_SPEC, _random_linear_system
+
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
+
+
+# x1 + x2^2: a constant first gradient component, and parabolas that leave
+# the box, so rows are clipped
+PARABOLA = lg.PartitioningFamily(
+    index=1, phi=ex.parse_expression("x1 + x2^2", 2, 0),
+    levels=(-3.0, -1.0, 2.0, 5.0, 12.0))
+LEVEL_CASES = (["ex1d", "nav2d", "pendulum", "quartic", "parabola"]
+               + ["random-%dd-%d" % (dim, seed)
+                  for dim in (1, 2) for seed in range(5)])
+
+
+def _level_case(request, name):
+    """(families, box) of a level-polish case: a fixture scenario, one of
+    the two non-quadratic specs, the parabola, or a random linear system
+    ("random-<dim>d-<seed>", built as `test_random_systems_sound` builds
+    it)."""
+    if name in ("ex1d", "nav2d"):
+        sc = request.getfixturevalue(name)
+        return sc.families, sc.box
+    if name == "parabola":
+        return [PARABOLA], lg.Box((-3.0, -3.0), (3.0, 3.0))
+    if name.startswith("random-"):
+        _, dim, seed = name.split("-")
+        sysr, _, fam = _random_linear_system(
+            np.random.default_rng(100 + int(seed)), int(dim[0]))
+        return [fam], sysr.domain
+    spec = cli.SystemSpec({"pendulum": PENDULUM_SPEC,
+                           "quartic": QUARTIC_SPEC}[name])
+    return spec.families, spec.box
 
 
 def _phidot_dense(coef, xs):
@@ -163,27 +196,34 @@ class TestValidateLevels:
 
 
     @pytest.mark.parametrize("grid", [64, 96])
-    @pytest.mark.parametrize("scenario", ["ex1d", "nav2d"])
+    @pytest.mark.parametrize("scenario", LEVEL_CASES)
     def test_level_points_match_reference(self, request, scenario, grid,
                                           reference_level_points):
         """One call polishes every level of a family, a repeated one too,
         and each level's block is what the reference gives that level
         alone, bit for bit: rows that stop at a fixed point end where the
-        full loop ends, and no row sees another level's rows."""
-        sc = request.getfixturevalue(scenario)
-        for fam in sc.families:
+        full loop ends, and no row sees another level's rows. The cases
+        cover sin and cos, ``^3`` and ``^4``, a constant gradient component
+        and rows clipped to the box."""
+        families, box = _level_case(request, scenario)
+        for fam in families:
             levels = list(fam.levels) + [fam.levels[1]]
             for limit, tol in ((512, 1e-7), (256, 1e-9)):
-                got = md._level_points(fam, levels, sc.box, grid, limit, tol)
+                got = md._level_points(fam, levels, box, grid, limit, tol)
                 assert len(got) == len(levels)
                 for level, block in zip(levels, got):
-                    want = reference_level_points(fam, level, sc.box, grid,
+                    want = reference_level_points(fam, level, box, grid,
                                                   limit, tol)
                     assert block.shape == want.shape
                     assert block.tobytes() == want.tobytes()
                 if scenario == "nav2d":
                     # 27.5 and 56 lie above phi's maximum (27 and 54) on X
                     assert len(got[-2]) == 0 and len(got[1]) > 0
+
+    def test_compile_polish_is_memoized(self, nav2d):
+        grads = md.gradient(nav2d.fam1.phi, 2)
+        assert (ex.compile_polish(nav2d.fam1.phi, grads, 2)
+                is ex.compile_polish(nav2d.fam1.phi, grads, 2))
 
     def test_samples_count_distinct_points(self, ex1d):
         """x1^2 = 1 and = 9 hold two points each in [-3, 3]; the polish

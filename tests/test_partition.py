@@ -1,6 +1,7 @@
 """Slices, cells, adjacency, and point location."""
 
 import math
+import os
 import types
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lyagate as lg
+from lyagate import cli
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate import partition as pt
@@ -15,6 +17,10 @@ from lyagate.errors import (
     CoverageError, LyagateError, ModelError, OutOfDomainError,
     ResolutionError,
 )
+
+from conftest import PENDULUM_SPEC, QUARTIC_SPEC
+
+SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
 
 class TestBuildSlices:
@@ -230,6 +236,47 @@ class TestLocateReference:
                 assert [v.hex() for v in got] == [v.hex() for v in want]
                 checked += 1
         assert checked == sum(len(a.facet_points) for a in cx.adjacency) > 0
+
+
+BISECT_SPECS = {"pendulum": PENDULUM_SPEC, "quartic": QUARTIC_SPEC}
+
+
+@pytest.mark.parametrize("name", ["example1d", "phase_plane", "pendulum",
+                                  "quartic"])
+def test_bisect_kernel_matches_reference(name, monkeypatch,
+                                         reference_bisect_crossings):
+    """Every family's batch of facet edges that `build_cells` bisects gives
+    the generated `expr.compile_bisect` kernel's points bit for bit as the
+    array loop it replaced (`conftest._reference_bisect_crossings`)."""
+    raw = BISECT_SPECS.get(name)
+    spec = (cli.SystemSpec(raw) if raw is not None else
+            cli.SystemSpec.load(os.path.join(SPEC_DIR, name + ".json")))
+    batches = []
+    compile_bisect = ex.compile_bisect
+
+    def recording(phi, n):
+        kernel = compile_bisect(phi, n)
+
+        def bisect(p, q, levels, iters):
+            found = kernel(p, q, levels, iters)
+            batches.append((phi, p, q, levels, found))
+            return found
+        return bisect
+
+    monkeypatch.setattr(ex, "compile_bisect", recording)
+    lg.build_cells(spec.families, spec.box, grid=spec.grid,
+                   stability_check=False)
+    assert [phi for phi, *_ in batches] == [f.phi for f in spec.families]
+    for phi, p, q, levels, found in batches:
+        want = reference_bisect_crossings(p, q, ex.compile_vector(phi),
+                                          levels)
+        assert found.shape == want.shape == p.shape
+        assert found.tobytes() == want.tobytes()
+
+
+def test_compile_bisect_is_memoized(nav2d):
+    assert (ex.compile_bisect(nav2d.fam1.phi, 2)
+            is ex.compile_bisect(nav2d.fam1.phi, 2))
 
 
 class TestSampling:
