@@ -852,6 +852,7 @@ def compile_polish(phi, grads, n) -> Callable:
     """
     idx = range(n)
     cs = ["c%d" % i for i in idx]
+    gs = ["g%d" % i for i in idx]
     ns = ["n%d" % i for i in idx]
     lines = ["def polish(x, level, scale, box, rounds):",
              "    rows = np.arange(len(x))",
@@ -865,15 +866,14 @@ def compile_polish(phi, grads, n) -> Callable:
              "        r = (%s) - lv" % _emit_column(phi)]
     lines += ["        g%d = %s" % (i, _emit_column(e))
               for i, e in enumerate(grads)]
-    lines += ["        g = np.stack((%s,), axis=1)"
-              % ", ".join("g%d" % i for i in idx),
+    lines += ["        g = np.stack((%s,), axis=1)" % ", ".join(gs),
               "        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]",
               "        go = (np.abs(r) >= 1e-14 * sc) & (g2 >= 1e-30)",
               "        if not go.all():",
               "            out = rows[~go]"]
     lines += ["            x[out, %d] = c%d[~go]" % (i, i) for i in idx]
-    lines += _compact("go", ["rows", "lv", "sc", "r", "g2"] + cs
-                      + ["g%d" % i for i in idx], "            ")
+    lines += _compact("go", ["rows", "lv", "sc", "r", "g2"] + cs + gs,
+                      "            ")
     lines += ["        n%d = np.minimum(np.maximum(c%d - r * g%d / g2, bl%d), bh%d)"
               % ((i,) * 5) for i in idx]
     lines += ["        moved = %s" % " | ".join(

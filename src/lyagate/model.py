@@ -359,7 +359,10 @@ def _level_points(fam, levels, box, grid, limit, tol):
     exactly where it would if its level were polished alone. A row stops
     once its residual vanishes or its gradient degenerates, once a step
     leaves its bits unchanged (a fixed point, so further steps would too),
-    or after ``_POLISH_ROUNDS`` steps.
+    or after ``_POLISH_ROUNDS`` steps. The kernel's rows are bit for bit
+    those of a loop over whole (N, n) arrays of the compiled vector phi and
+    gradient (``expr.compile_polish`` says why, its ``g2`` matmul
+    included).
     Rows whose final residual exceeds ``tol`` (relative to the level) are
     dropped. Returns one (k, n) array per entry of ``levels``, its rows in
     candidate order.

@@ -222,7 +222,7 @@ def _reference_bisect_crossing(p, q, phi_fn, level, iters=60):
     return tuple(float(v) for v in p + t * (q - p))
 
 
-_BISECT_ITERS = 60
+_REF_BISECT_ITERS = 60
 
 
 def _reference_bisect_crossings(p, q, phi_v, levels):
@@ -237,7 +237,7 @@ def _reference_bisect_crossings(p, q, phi_v, levels):
     lo = np.zeros(len(p))
     hi = np.ones(len(p))
     rows = np.arange(len(p))
-    for _ in range(_BISECT_ITERS):
+    for _ in range(_REF_BISECT_ITERS):
         mid = 0.5 * (lo[rows] + hi[rows])
         moving = (mid != lo[rows]) & (mid != hi[rows])
         rows, mid = rows[moving], mid[moving]
