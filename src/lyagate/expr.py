@@ -821,14 +821,18 @@ def _compact(mask, names, pad):
     return ["%s%s = %s[%s]" % (pad, a, a, mask) for a in names]
 
 
-@lru_cache(maxsize=None)
-def compile_polish(phi, grads, n) -> Callable:
-    """Compile the row-wise Gauss-Newton projection onto levels of ``phi``,
-    ``grads`` being its gradient components over ``x1..xn``.
+_POLISH_ROUNDS = 40   # Gauss-Newton steps per row at most
+_BISECT_ITERS = 60    # halvings of a segment onto its level at most
 
-    Returns ``polish(x, level, scale, box, rounds)``, which moves the rows
-    of the (N, n) array ``x`` in place. Row i is projected onto
-    ``phi = level[i]``: up to ``rounds`` times, with ``r = phi(x) -
+
+@lru_cache(maxsize=None)
+def compile_polish(phi, n) -> Callable:
+    """Compile the row-wise Gauss-Newton projection onto levels of ``phi``
+    over ``x1..xn``.
+
+    Returns ``polish(x, level, scale, box)``, which moves the rows of the
+    (N, n) array ``x`` in place. Row i is projected onto ``phi =
+    level[i]``: up to ``_POLISH_ROUNDS`` times, with ``r = phi(x) -
     level[i]``, gradient ``g`` and ``g2 = g . g``, the row stops when
     ``|r| < 1e-14 * scale[i]`` or ``g2 < 1e-30``, else moves to
     ``x - r * g / g2``, clipped into ``box`` (one ``(lo, hi)`` pair per
@@ -851,16 +855,17 @@ def compile_polish(phi, grads, n) -> Callable:
     vectors ends it.
     """
     idx = range(n)
+    grads = [differentiate(phi, "x%d" % (i + 1)) for i in idx]
     cs = ["c%d" % i for i in idx]
     gs = ["g%d" % i for i in idx]
     ns = ["n%d" % i for i in idx]
-    lines = ["def polish(x, level, scale, box, rounds):",
+    lines = ["def polish(x, level, scale, box):",
              "    rows = np.arange(len(x))",
              "    %s, = %s," % (", ".join(cs),
                                ", ".join("x[:, %d]" % i for i in idx)),
              "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx),
              "    lv, sc = level, scale",
-             "    for _ in range(rounds):",
+             "    for _ in range(%d):" % _POLISH_ROUNDS,
              "        if not len(rows):",
              "            break",
              "        r = (%s) - lv" % _emit_column(phi)]
@@ -893,14 +898,13 @@ def compile_bisect(phi, n) -> Callable:
     """Compile the row-wise bisection of segments onto levels of ``phi``
     over ``x1..xn``.
 
-    Returns ``bisect(p, q, levels, iters)``: for (k, n) arrays ``p`` and
-    ``q`` and a (k,) array ``levels``, the (k, n) array of points
-    ``p + t * (q - p)`` where phi crosses each row's level. With ``d = q -
-    p``, ``stat_lo = phi(p) - level``, ``lo = 0`` and ``hi = 1``, each row
-    halves ``[lo, hi]`` at most ``iters`` times: the probe ``p + mid * d``
-    at ``mid = 0.5 * (lo + hi)`` moves ``lo`` (and ``stat_lo``) when
-    ``(fm > 0) == (stat_lo > 0)`` for ``fm = phi(probe) - level``, else
-    ``hi``. A row stops early once ``mid`` rounds to ``lo`` or ``hi``, and
+    Returns ``bisect(p, q, levels)``: for (k, n) arrays ``p`` and ``q``
+    and a (k,) array ``levels``, the (k, n) array of points ``p + t * (q -
+    p)`` where phi crosses each row's level. With ``d = q - p``, ``stat_lo
+    = phi(p) - level``, ``lo = 0`` and ``hi = 1``, each row halves ``[lo,
+    hi]`` at most ``_BISECT_ITERS`` times: the probe ``p + mid * d`` at
+    ``mid = 0.5 * (lo + hi)`` moves ``lo`` (and ``stat_lo``) when ``(fm >
+    0) == (stat_lo > 0)`` for ``fm = phi(probe) - level``, else ``hi``. A row stops early once ``mid`` rounds to ``lo`` or ``hi``, and
     ``t = 0.5 * (lo + hi)``, which for a stopped row is that ``mid``.
 
     The early stop is a fixed point, so the row ends where the full count
@@ -909,8 +913,8 @@ def compile_bisect(phi, n) -> Callable:
     side. If ``mid == lo`` with ``lo > 0``, the probe repeats the one that
     set ``lo`` and ``stat_lo``, so it lands on the same side and changes
     nothing (``lo == 0`` cannot recur, as ``hi`` stays at or above
-    ``2**-iters``). If ``mid == hi < 1``, the probe repeats the one that set
-    ``hi`` and changes nothing. If ``mid == hi == 1.0``, then ``lo == 1 -
+    ``2**-_BISECT_ITERS``). If ``mid == hi < 1``, the probe repeats the
+    one that set ``hi`` and changes nothing. If ``mid == hi == 1.0``, then ``lo == 1 -
     2**-53`` and the probe may set ``lo`` to 1.0, but both before and after,
     ``0.5 * (lo + hi)`` rounds to 1.0. In every case the later midpoints,
     and the final ``t``, stay the same.
@@ -928,7 +932,7 @@ def compile_bisect(phi, n) -> Callable:
     idx = range(n)
     ps = ["p%d" % i for i in idx]
     ds = ["d%d" % i for i in idx]
-    lines = ["def bisect(p, q, levels, iters):",
+    lines = ["def bisect(p, q, levels):",
              "    rows = np.arange(len(p))",
              "    %s, = %s," % (", ".join(ps),
                                ", ".join("p[:, %d]" % i for i in idx)),
@@ -939,7 +943,7 @@ def compile_bisect(phi, n) -> Callable:
              "    lo = np.zeros(len(p))",
              "    hi = np.ones(len(p))",
              "    t = np.empty(len(p))",
-             "    for _ in range(iters):",
+             "    for _ in range(%d):" % _BISECT_ITERS,
              "        mid = 0.5 * (lo + hi)",
              "        moving = (mid != lo) & (mid != hi)",
              "        if not moving.all():",

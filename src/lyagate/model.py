@@ -25,7 +25,6 @@ R_CRIT = 1e-3         # exclusion radius around critical points of f_g
 CRIT_CANDIDATES = 32  # grid minima of |f_g|^2 polished by Newton
 LEVEL_SAMPLES = 256   # grid points polished onto a level by sample_level_set
 _NEWTON_ITERS = 30
-_POLISH_ROUNDS = 40   # Gauss-Newton steps per level-set point at most
 _CRIT_RESIDUAL = 1e-8
 
 
@@ -354,12 +353,12 @@ def _level_points(fam, levels, box, grid, limit, tol):
     For each level, the ``limit`` grid points whose phi value lies closest
     to it are its candidates; each row carries its own level and scale
     ``max(1, |a|)``. The rows are projected together, clipped to the box,
-    by the kernel ``expr.compile_polish`` generates for phi and its
-    memoized ``gradient``. Every operation acts row by row, so a row ends
-    exactly where it would if its level were polished alone. A row stops
-    once its residual vanishes or its gradient degenerates, once a step
-    leaves its bits unchanged (a fixed point, so further steps would too),
-    or after ``_POLISH_ROUNDS`` steps. The kernel's rows are bit for bit
+    by the kernel ``expr.compile_polish`` generates for phi. Every
+    operation acts row by row, so a row ends exactly where it would if its
+    level were polished alone. A row stops once its residual vanishes or
+    its gradient degenerates, once a step leaves its bits unchanged (a
+    fixed point, so further steps would too), or after
+    ``expr._POLISH_ROUNDS`` (40) steps. The kernel's rows are bit for bit
     those of a loop over whole (N, n) arrays of the compiled vector phi and
     gradient (``expr.compile_polish`` says why, its ``g2`` matmul
     included).
@@ -380,8 +379,8 @@ def _level_points(fam, levels, box, grid, limit, tol):
     x = pts[np.concatenate(picks)]
     level = np.repeat(np.asarray(levels, dtype=float), counts)
     scale = np.maximum(1.0, np.abs(level))
-    polish = ex.compile_polish(fam.phi, gradient(fam.phi, box.dim), box.dim)
-    polish(x, level, scale, tuple(zip(box.lower, box.upper)), _POLISH_ROUNDS)
+    ex.compile_polish(fam.phi, box.dim)(x, level, scale,
+                                        tuple(zip(box.lower, box.upper)))
     keep = np.abs(phi_v(x) - level) <= tol * scale
     cuts = np.cumsum(counts)[:-1]
     return [block[ok] for block, ok in zip(np.split(x, cuts),

@@ -31,7 +31,6 @@ DEFAULT_GRID = 64
 MAX_FACET_POINTS = 32
 EPS_FACE = 1e-9          # relative half-width of the boundary tag in locate()
 LEVEL_EPS_FACE = 1e-7    # the same for points sampled on a level
-_BISECT_ITERS = 60       # halvings of a grid edge onto its level
 
 
 @dataclass(frozen=True)
@@ -418,9 +417,7 @@ def _build_raw(families, box, grid):
     structure = ndimage.generate_binary_structure(n, 1)
     cell_index = -np.ones(shape, dtype=np.int64)
     cells_meta = []   # (y, z, first_flat_index)
-    # the keys are nonnegative mixed-radix band codes, so the nonzero bins
-    # of their histogram are np.unique(key), sorted the same way
-    for k in np.flatnonzero(np.bincount(key.ravel())):
+    for k in np.unique(key):
         mask = key == k
         first = int(np.argmax(mask.ravel()))
         y = tuple(int(lab.ravel()[first]) for lab in labels)
@@ -449,7 +446,7 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
     Up to ``MAX_FACET_POINTS`` grid edges of each adjacent cell pair are
     picked evenly in scan order, and each family's picked edges are
     bisected onto their levels in one call of the kernel
-    ``expr.compile_bisect`` generates for its phi (``_BISECT_ITERS``
+    ``expr.compile_bisect`` generates for its phi (``expr._BISECT_ITERS``
     halvings at most); the facet points are that kernel's, bit for bit
     those of a bisection loop over whole arrays of the compiled vector phi.
 
@@ -512,7 +509,7 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
         found = ex.compile_bisect(fam.phi, box.dim)(
             pts[ends[:, 0]], pts[ends[:, 1]],
             np.repeat([level for _, _, level, _ in mine],
-                      [len(picked) for *_, picked in mine]), _BISECT_ITERS)
+                      [len(picked) for *_, picked in mine]))
         found = map(tuple, found.tolist())
         for ia, ib, _, picked in mine:
             facets[ia, ib] = tuple(itertools.islice(found, len(picked)))

@@ -221,9 +221,8 @@ class TestValidateLevels:
                     assert len(got[-2]) == 0 and len(got[1]) > 0
 
     def test_compile_polish_is_memoized(self, nav2d):
-        grads = md.gradient(nav2d.fam1.phi, 2)
-        assert (ex.compile_polish(nav2d.fam1.phi, grads, 2)
-                is ex.compile_polish(nav2d.fam1.phi, grads, 2))
+        assert (ex.compile_polish(nav2d.fam1.phi, 2)
+                is ex.compile_polish(nav2d.fam1.phi, 2))
 
     def test_samples_count_distinct_points(self, ex1d):
         """x1^2 = 1 and = 9 hold two points each in [-3, 3]; the polish

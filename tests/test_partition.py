@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 import types
 
 import numpy as np
@@ -78,6 +79,26 @@ class TestBuildCells:
         for adj in ex1d.complex.adjacency:
             for cid in (adj.a, adj.b):
                 assert ex1d.complex.cell(cid).npoints >= 1
+
+    def test_cell_enumeration_memory_follows_the_grid(self):
+        """Four families of 40 levels make 41**4 possible band codes, but a
+        16 x 16 grid holds at most 256 of them. Enumerating the cells takes
+        memory of the grid, not of the code space: a histogram over the
+        codes would allocate about 20 MB here, np.unique about 0.5 MB."""
+        box = lg.Box((-1.0, -1.0), (1.0, 1.0))
+        fams = [lg.PartitioningFamily(
+                    i + 1, ex.parse_expression("x1 + %g * x2" % (0.1 * i), 2, 0),
+                    tuple(np.linspace(-1.6, 1.6, 40)))
+                for i in range(4)]
+        lg.build_cells(fams, box, grid=16, stability_check=False)  # compiles
+        tracemalloc.start()
+        try:
+            cx = lg.build_cells(fams, box, grid=16, stability_check=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cx.cells) > 100
+        assert peak < 4e6
 
     def test_rep_point_is_interior(self, ex1d):
         for c in ex1d.complex.cells:
@@ -257,8 +278,8 @@ def test_bisect_kernel_matches_reference(name, monkeypatch,
     def recording(phi, n):
         kernel = compile_bisect(phi, n)
 
-        def bisect(p, q, levels, iters):
-            found = kernel(p, q, levels, iters)
+        def bisect(p, q, levels):
+            found = kernel(p, q, levels)
             batches.append((phi, p, q, levels, found))
             return found
         return bisect
