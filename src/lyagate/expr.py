@@ -28,12 +28,43 @@ __all__ = [
     "Expression", "parse_expression", "eval_expression", "differentiate",
     "substitute", "variables", "to_text", "compile_scalar", "compile_vector",
     "compile_step", "compile_stay", "compile_refine", "compile_polish",
-    "compile_bisect",
+    "compile_bisect", "compile_field",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs", "sign")
 
 
+def _hash_once(cls):
+    """Keep each node's hash once it is first computed.
+
+    The class's own ``__hash__`` (the dataclass's, over the fields, or
+    Const's) still decides the value, so a node hashes as before, but a
+    lookup in a ``compile_*`` cache no longer walks the whole tree. The
+    hash is an instance attribute beside the fields, not a field, set
+    without reading ``__dict__``, which would give every hashed node a
+    dict of its own. It is left out of the pickled and copied state,
+    because a string's hash differs between processes.
+    """
+    field_hash = cls.__hash__
+    names = tuple(cls.__dataclass_fields__)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {f: getattr(self, f) for f in names}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True, eq=False)
 class Const:
     value: float
@@ -53,40 +84,47 @@ class Const:
         return hash(self._key())
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Var:
     name: str
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Neg:
     arg: "Expression"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Add:
     left: "Expression"
     right: "Expression"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Sub:
     left: "Expression"
     right: "Expression"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Mul:
     left: "Expression"
     right: "Expression"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Div:
     left: "Expression"
     right: "Expression"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Pow:
     base: "Expression"
@@ -97,6 +135,7 @@ class Pow:
             raise ValueError("power exponent must be a nonnegative integer")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Call:
     func: str
@@ -637,7 +676,8 @@ def _rk4_body(exprs, pad):
 
 
 def _exec_def(lines, name):
-    namespace = {"math": math, "np": np, "_sign": _py_sign, "abs": abs}
+    namespace = {"math": math, "np": np, "_sign": _py_sign, "abs": abs,
+                 "copysign": math.copysign}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -752,6 +792,11 @@ def compile_refine(phi, lie, n) -> Callable:
     moves to the search's result when that point passes the same test. It
     returns ``(point, |lie| at point)``.
 
+    The sweeps stop early once a whole sweep leaves the bits of every
+    coordinate unchanged (the same value with the same sign, so 0.0 and
+    -0.0 differ): a sweep is a function of the point alone, so every later
+    sweep would repeat the same operations and end at the same point.
+
     Bit-identity contract: phi and lie are evaluated inline with the
     operations of ``compile_scalar``, and the bracket ends, the golden
     updates, the ``fc <= fd`` comparison and the short-circuited
@@ -772,7 +817,8 @@ def compile_refine(phi, lie, n) -> Callable:
              "    fl, fh = band",
              "    inf = math.inf",
              "    invphi = %r" % _INVPHI,
-             "    for _ in range(sweeps):"]
+             "    for _ in range(sweeps):",
+             "        %s, = %s," % (", ".join("s%d" % i for i in idx), xs)]
     for j in idx:
         # the trial point y is x with coordinate j replaced
         feasible = "bl%d <= y%d <= bh%d and fl <= %s <= fh" % (j, j, j, phi_y)
@@ -803,6 +849,13 @@ def compile_refine(phi, lie, n) -> Callable:
         lines += ["        y%d = c if fc <= fd else d" % j,
                   "        if %s:" % feasible,
                   "            x%d = y%d" % (j, j)]
+    # a sweep that left every coordinate's bits as they were is a fixed
+    # point: equal floats with equal signs have equal bits (``==`` alone
+    # would let 0.0 stand for -0.0), and a NaN never stops the sweeps
+    lines += ["        if %s:" % " and ".join(
+                  "x%d == s%d and copysign(1.0, x%d) == copysign(1.0, s%d)"
+                  % ((i,) * 4) for i in idx),
+              "            break"]
     lines.append("    return (%s,), abs(%s)"
                  % (xs, _emit(lie, _SCALAR_FUNCS, "x%d", "u%d")))
     return _exec_def(lines, "refine")
@@ -846,8 +899,11 @@ def compile_polish(phi, n) -> Callable:
     inline with the operations of ``compile_vector`` (its ``+ 0.0 *
     X[:, 0]`` term included, which gives a constant component its array
     shape and fixes signed zeros and non-finite rows); ``g2`` comes from
-    the batched ``matmul`` of the stacked gradient rows, because a plain
-    ``g0 * g0 + g1 * g1`` rounds apart from BLAS, which uses FMA; the step
+    the batched ``matmul`` of the gradient rows, because a plain ``g0 * g0
+    + g1 * g1`` rounds apart from BLAS, which uses FMA (``fma(g1, g1, g0 *
+    g0)`` on the rows checked where they differ), so its operand is the
+    same C-contiguous (N, n) array the stacked rows were, filled column by
+    column into a fresh buffer each round; the step
     is ``x - r * g / g2``, clipped by ``np.minimum(np.maximum(., lo), hi)``,
     which matches the ``np.clip`` of the (N, n) rows against the box
     vectors bit for bit; and the fixed-point test compares bits. So every
@@ -871,8 +927,9 @@ def compile_polish(phi, n) -> Callable:
              "        r = (%s) - lv" % _emit_column(phi)]
     lines += ["        g%d = %s" % (i, _emit_column(e))
               for i, e in enumerate(grads)]
-    lines += ["        g = np.stack((%s,), axis=1)" % ", ".join(gs),
-              "        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]",
+    lines.append("        g = np.empty((len(rows), %d))" % n)
+    lines += ["        g[:, %d] = g%d" % (i, i) for i in idx]
+    lines += ["        g2 = (g[:, None, :] @ g[:, :, None])[:, 0, 0]",
               "        go = (np.abs(r) >= 1e-14 * sc) & (g2 >= 1e-30)",
               "        if not go.all():",
               "            out = rows[~go]"]

@@ -277,54 +277,64 @@ def check_admissibility(sys: ControlSystem, g: ControlLaw, fam: PartitioningFami
 
     Returns {slice index: +1 | -1}. Raises AdmissibilityError with a pair of
     opposite-sign witness points when any slice mixes signs (or hits an exact
-    zero away from the exclusions).
+    zero away from the exclusions): the grid points of the slice's largest
+    and smallest phidot, or of its smallest and largest |phidot| when the
+    slice has no point of one strict sign. Slices are checked in index
+    order. This is ``admissibility_map`` for one control and one family.
     """
-    phid = ex.compile_vector(lie_derivative(sys, g, fam))
-    phi_v = ex.compile_vector(fam.phi)
-    pts = sys.domain.grid(grid)
-    phi_vals = phi_v(pts)
-    vals = phid(pts)
-
-    keep = np.ones(len(pts), dtype=bool)
-    for p in equilibria:
-        keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > R_CRIT
-
-    signs = {}
-    for h in range(1, fam.band_count + 1):
-        mask = fam.band_mask(h, phi_vals) & keep
-        if not mask.any():
-            continue
-        v = vals[mask]
-        p = pts[mask]
-        pos = v > 0
-        neg = v < 0
-        if pos.all():
-            signs[h] = 1
-        elif neg.all():
-            signs[h] = -1
-        else:
-            if pos.any() and neg.any():
-                ia = int(np.argmax(v))
-                ib = int(np.argmin(v))
-            else:
-                # exact zero away from critical points
-                ia = int(np.argmin(np.abs(v)))
-                ib = int(np.argmax(np.abs(v)))
-            raise AdmissibilityError(fam.index, h, p[ia], float(v[ia]),
-                                     p[ib], float(v[ib]))
-    return signs
+    signs = admissibility_map(sys, [g], [fam], grid=grid,
+                              equilibria={g.name: equilibria})
+    return {h: s for (_, h, _), s in signs.items()}
 
 
 def admissibility_map(sys, controls, families, grid=128, *, equilibria):
     """Signs for every (family, slice, control), given each control's
-    ``critical_points`` by name; raises on the first violation."""
+    ``critical_points`` by name, as ``check_admissibility`` describes them;
+    raises on the first violation, checking the families in order, each
+    family's controls in order and each control's slices in order.
+
+    phi and its band masks are evaluated once per family, and each
+    control's exclusion mask once. The sign tests count the points of the
+    boolean masks ``phidot > 0`` and ``phidot < 0`` in each slice; a
+    slice's points and values are gathered only when it fails, to pick the
+    witnesses."""
+    pts = sys.domain.grid(grid)
+    keeps = []
+    for g in controls:
+        keep = np.ones(len(pts), dtype=bool)
+        for p in equilibria[g.name]:
+            keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > R_CRIT
+        keeps.append(keep)
     signs = {}
     for fam in families:
-        for g in controls:
-            for h, s in check_admissibility(
-                    sys, g, fam, grid=grid,
-                    equilibria=equilibria[g.name]).items():
-                signs[(fam.index, h, g.name)] = s
+        phi_vals = ex.compile_vector(fam.phi)(pts)
+        bands = [fam.band_mask(h, phi_vals)
+                 for h in range(1, fam.band_count + 1)]
+        for g, keep in zip(controls, keeps):
+            vals = ex.compile_vector(lie_derivative(sys, g, fam))(pts)
+            pos = vals > 0
+            neg = vals < 0
+            for h, band in enumerate(bands, start=1):
+                mask = band & keep
+                count = np.count_nonzero(mask)
+                if not count:
+                    continue
+                if np.count_nonzero(pos & mask) == count:
+                    signs[(fam.index, h, g.name)] = 1
+                elif np.count_nonzero(neg & mask) == count:
+                    signs[(fam.index, h, g.name)] = -1
+                else:
+                    v = vals[mask]
+                    p = pts[mask]
+                    if pos[mask].any() and neg[mask].any():
+                        ia = int(np.argmax(v))
+                        ib = int(np.argmin(v))
+                    else:
+                        # exact zero away from critical points
+                        ia = int(np.argmin(np.abs(v)))
+                        ib = int(np.argmax(np.abs(v)))
+                    raise AdmissibilityError(fam.index, h, p[ia], float(v[ia]),
+                                             p[ib], float(v[ib]))
     return signs
 
 

@@ -231,22 +231,39 @@ class CellComplex:
         once per complex: the levels not built yet are polished together in
         one ``model.sample_level_set`` call. A level's samples are the
         distinct points the sampler returns, each where it first occurs,
-        less those where the gradient vanishes."""
+        less those where the gradient vanishes.
+
+        The new levels' samples are indexed by one ``_rows_by_y`` call on
+        all of them, whose ascending rows under each band tuple are then
+        split by level; every row is indexed on its own, so each level gets
+        the rows it would get alone."""
         fam = self._family(family_index)
         new = [a for a in dict.fromkeys(map(float, levels))
                if (family_index, a) not in self._level_cache]
         if new:
             grad_vs, thresh = self._gradient_of(fam)
-            for a, sampled in zip(new, md.sample_level_set(
-                    fam, new, self.box, grid=min(self.grid, 64))):
-                pts = np.array(list(dict.fromkeys(sampled)),
+            blocks = [np.array(list(dict.fromkeys(sampled)),
                                dtype=float).reshape(-1, self.box.dim)
-                norms = np.sqrt(sum(g * g for g in (gv(pts) for gv in grad_vs)))
-                crossable = norms > thresh
-                pts = pts[crossable]
+                      for sampled in md.sample_level_set(
+                          fam, new, self.box, grid=min(self.grid, 64))]
+            pts = np.concatenate(blocks)
+            norms = np.sqrt(sum(g * g for g in (gv(pts) for gv in grad_vs)))
+            crossable = norms > thresh
+            pts, norms = pts[crossable], norms[crossable]
+            ends = np.cumsum([np.count_nonzero(c) for c in np.split(
+                crossable, np.cumsum([len(b) for b in blocks])[:-1])])
+            rows_by_y = self._rows_by_y(pts)
+            start = 0
+            for a, end in zip(new, ends.tolist()):
+                mine = {}
+                for y, rows in rows_by_y.items():
+                    lo, hi = bisect_left(rows, start), bisect_left(rows, end)
+                    if lo < hi:
+                        mine[y] = [r - start for r in rows[lo:hi]]
                 self._level_cache[family_index, a] = _LevelSamples(
-                    list(map(tuple, pts.tolist())), norms[crossable].tolist(),
-                    self._rows_by_y(pts), {})
+                    list(map(tuple, pts[start:end].tolist())),
+                    norms[start:end].tolist(), mine, {})
+                start = end
         return [self._level_cache[family_index, float(a)] for a in levels]
 
     def _rows_by_y(self, points):
@@ -395,28 +412,42 @@ def _level_edges(cell_index, ys):
     return edges[keep], int(len(keep) - keep.sum())
 
 
+def _band_keys(families, pts, shape):
+    """Band labels of the grid points ``pts``, reshaped to ``shape``.
+
+    Returns phi per family, its band labels, each point's band tuple as
+    one mixed-radix key (digit base: band count + 2), and each family's
+    digit weight in that key.
+    """
+    phi_vals, labels, weights = [], [], []
+    key = np.zeros(shape, dtype=np.int64)
+    mult = 1
+    for fam in families:
+        vals = ex.compile_vector(fam.phi)(pts)
+        lab = _band_labels(fam.levels, vals).reshape(shape)
+        phi_vals.append(vals)
+        labels.append(lab)
+        weights.append(mult)
+        key += lab.astype(np.int64) * mult
+        mult *= fam.band_count + 2
+    return phi_vals, labels, key, weights
+
+
 def _build_raw(families, box, grid):
-    """Label grid, flood-fill components, and gather raw adjacency edges."""
+    """Label grid and flood-fill components.
+
+    Returns the grid points, phi per family on them, each point's cell
+    index, and the cells as (y, z, flat grid indices) ordered by band tuple,
+    then by first grid index.
+    """
     n = box.dim
     shape = (grid,) * n
     pts = box.grid(grid)
-    labels = []
-    phi_vals = []
-    for fam in families:
-        vals = ex.compile_vector(fam.phi)(pts)
-        phi_vals.append(vals)
-        labels.append(_band_labels(fam.levels, vals).reshape(shape))
-
-    # combined key per point: tuple of band indices
-    key = np.zeros(shape, dtype=np.int64)
-    mult = 1
-    for lab, fam in zip(labels, families):
-        key += lab.astype(np.int64) * mult
-        mult *= fam.band_count + 2
+    phi_vals, labels, key, _ = _band_keys(families, pts, shape)
 
     structure = ndimage.generate_binary_structure(n, 1)
     cell_index = -np.ones(shape, dtype=np.int64)
-    cells_meta = []   # (y, z, first_flat_index)
+    cells_meta = []   # (y, flat grid indices of one component)
     for k in np.unique(key):
         mask = key == k
         first = int(np.argmax(mask.ravel()))
@@ -437,7 +468,73 @@ def _build_raw(families, box, grid):
     for idx, (_, _, flat) in enumerate(ordered):
         cell_index.ravel()[flat] = idx
 
-    return pts, labels, phi_vals, cell_index, ordered
+    return pts, phi_vals, cell_index, ordered
+
+
+def _component_counts(families, box, grid, ys):
+    """Number of components per band tuple on the grid of ``grid`` points
+    per axis, in band-tuple order; a tuple no grid point holds is left out.
+
+    Only counts are kept: each tuple of ``ys`` has its mask labelled, and a
+    band tuple outside ``ys`` is looked for only when some grid point lies
+    outside all their masks.
+    """
+    n = box.dim
+    shape = (grid,) * n
+    _, labels, key, weights = _band_keys(families, box.grid(grid), shape)
+    structure = ndimage.generate_binary_structure(n, 1)
+    codes = [sum(h * w for h, w in zip(y, weights)) for y in ys]
+    counts = {}
+    covered = 0
+    for y, code in zip(ys, codes):
+        mask = key == code
+        ncomp = ndimage.label(mask, structure=structure)[1]
+        if ncomp:
+            counts[y] = ncomp
+            covered += np.count_nonzero(mask)
+    if covered < key.size:
+        flat = key.ravel()
+        for k in np.unique(flat[~np.isin(flat, codes)]).tolist():
+            first = int(np.argmax(flat == k))
+            y = tuple(int(lab.ravel()[first]) for lab in labels)
+            counts[y] = ndimage.label(key == k, structure=structure)[1]
+        counts = dict(sorted(counts.items()))
+    return counts
+
+
+def _cell_boxes(families, pts, phi_vals, ordered, ys, extra_pts):
+    """Representative point and bounding box of every cell of ``ordered``.
+
+    A cell's representative is its grid point of largest band margin
+    (the smaller distance of phi to either level of its band, the least
+    over the families), the first in flat order among equals and the first
+    NaN margin if any, as ``np.argmax`` picks. Its box spans its grid
+    points and the facet points ``extra_pts`` lists under its index. The
+    margins come from one pass over the grid, and the per-cell maxima and
+    extents from ``reduceat`` over the points in cell order.
+    """
+    flat = np.concatenate([f for _, _, f in ordered])
+    sizes = np.array([len(f) for _, _, f in ordered])
+    starts = np.cumsum(sizes) - sizes
+    home = np.repeat(np.arange(len(ordered)), sizes)
+    margin = np.full(len(flat), np.inf)
+    for pos, (fam, vals) in enumerate(zip(families, phi_vals)):
+        levels = np.asarray(fam.levels)
+        h = ys[home, pos]
+        v = vals[flat]
+        margin = np.minimum(margin, np.minimum(v - levels[h - 1],
+                                               levels[h] - v))
+    top = np.repeat(np.maximum.reduceat(margin, starts), sizes)
+    hits = np.flatnonzero((margin == top) | (np.isnan(margin) & np.isnan(top)))
+    reps = pts[flat[hits[np.searchsorted(hits, starts)]]]
+    cpts = pts[flat]
+    lows = np.minimum.reduceat(cpts, starts, axis=0)
+    highs = np.maximum.reduceat(cpts, starts, axis=0)
+    for i, extra in extra_pts.items():
+        extra = np.array(extra)
+        lows[i] = np.minimum(lows[i], extra.min(axis=0))
+        highs[i] = np.maximum(highs[i], extra.max(axis=0))
+    return reps.tolist(), lows.tolist(), highs.tolist()
 
 
 def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
@@ -449,24 +546,24 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
     ``expr.compile_bisect`` generates for its phi (``expr._BISECT_ITERS``
     halvings at most); the facet points are that kernel's, bit for bit
     those of a bisection loop over whole arrays of the compiled vector phi.
+    Each cell's representative point and bounding box come from one pass
+    over the grid (``_cell_boxes``).
 
-    With ``stability_check`` the construction is repeated at doubled
-    resolution (2*grid - 1 points per axis keeps the original points) and a
-    ResolutionError is raised when any extended cell's component count
-    changes.
+    With ``stability_check`` the band tuples are labelled again at doubled
+    resolution (2*grid - 1 points per axis keeps the original points), and
+    a ResolutionError is raised when any extended cell's component count
+    changes. The doubled grid's components are only counted
+    (``_component_counts``); no cells are built from them.
     """
     families = list(families)
-    pts, labels, phi_vals, cell_index, ordered = _build_raw(families, box, grid)
+    pts, phi_vals, cell_index, ordered = _build_raw(families, box, grid)
 
     if stability_check:
         fine = 2 * grid - 1
-        _, _, _, _, ordered_fine = _build_raw(families, box, fine)
         counts = {}
         for y, _, _ in ordered:
             counts[y] = counts.get(y, 0) + 1
-        counts_fine = {}
-        for y, _ in [(y, z) for y, z, _ in ordered_fine]:
-            counts_fine[y] = counts_fine.get(y, 0) + 1
+        counts_fine = _component_counts(families, box, fine, list(counts))
         if counts != counts_fine:
             changed = sorted(y for y in counts.keys() | counts_fine.keys()
                              if counts.get(y) != counts_fine.get(y))
@@ -523,27 +620,15 @@ def build_cells(families, box: Box, grid=DEFAULT_GRID, stability_check=True):
 
     # facet points sharpen the per-cell bounding boxes up to the true levels
     extra_pts = {}
-    for adj in adjacency:
-        for cid in (adj.a, adj.b):
-            extra_pts.setdefault(cid, []).extend(adj.facet_points)
-
-    cells = []
-    for y, z, flat_idx in ordered:
-        cid = _cell_id(y, z)
-        cpts = pts[flat_idx]
-        margin = np.full(len(cpts), np.inf)
-        for pos, (fam, vals) in enumerate(zip(families, phi_vals)):
-            lo, hi = fam.band(y[pos])
-            v = vals[flat_idx]
-            margin = np.minimum(margin, np.minimum(v - lo, hi - v))
-        rep = tuple(float(v) for v in cpts[int(np.argmax(margin))])
-        allpts = cpts
-        if cid in extra_pts:
-            allpts = np.vstack([cpts, np.array(extra_pts[cid])])
-        bbox = (tuple(float(v) for v in allpts.min(axis=0)),
-                tuple(float(v) for v in allpts.max(axis=0)))
-        cells.append(Cell(id=cid, y=y, z=z, rep_point=rep, bbox=bbox,
-                          npoints=len(flat_idx)))
+    for ia, ib, *_ in pairs:
+        for i in (ia, ib):
+            extra_pts.setdefault(i, []).extend(facets[ia, ib])
+    reps, lows, highs = _cell_boxes(families, pts, phi_vals, ordered, ys,
+                                    extra_pts)
+    cells = [Cell(id=_cell_id(y, z), y=y, z=z, rep_point=tuple(rep),
+                  bbox=(tuple(lo), tuple(hi)), npoints=len(flat_idx))
+             for (y, z, flat_idx), rep, lo, hi
+             in zip(ordered, reps, lows, highs)]
 
     diagnostics = {"skipped_corner_edges": skipped}
     return CellComplex(families, box, grid, cells, adjacency, diagnostics,

@@ -7,11 +7,15 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
-from lyagate.errors import EmptySliceError, NonFiniteStateError, OutOfDomainError
+from lyagate import partition as pt
+from lyagate.errors import (
+    AdmissibilityError, EmptySliceError, NonFiniteStateError, OutOfDomainError,
+)
 
 
 class Example1D:
@@ -338,6 +342,125 @@ def reference_rows_by_y():
     return _reference_rows_by_y
 
 
+def _reference_component_counts(families, box, grid):
+    """The doubled-grid pass of `partition.build_cells` before it only
+    counted components, the reference for `partition._component_counts`:
+    every band key the grid holds (``np.unique``), its band tuple from its
+    first point, one ``flatnonzero`` per component, the components sorted
+    by band tuple and first grid index, then counted in that order."""
+    n = box.dim
+    shape = (grid,) * n
+    pts = box.grid(grid)
+    labels = [pt._band_labels(fam.levels,
+                              ex.compile_vector(fam.phi)(pts)).reshape(shape)
+              for fam in families]
+    key = np.zeros(shape, dtype=np.int64)
+    mult = 1
+    for lab, fam in zip(labels, families):
+        key += lab.astype(np.int64) * mult
+        mult *= fam.band_count + 2
+    structure = ndimage.generate_binary_structure(n, 1)
+    cells_meta = []
+    for k in np.unique(key):
+        mask = key == k
+        first = int(np.argmax(mask.ravel()))
+        y = tuple(int(lab.ravel()[first]) for lab in labels)
+        comp, ncomp = ndimage.label(mask, structure=structure)
+        for z in range(1, ncomp + 1):
+            cells_meta.append((y, np.flatnonzero((comp == z).ravel())))
+    cells_meta.sort(key=lambda item: (item[0], int(item[1][0])))
+    counts = {}
+    for y, _ in cells_meta:
+        counts[y] = counts.get(y, 0) + 1
+    return counts
+
+
+@pytest.fixture(scope="session")
+def reference_component_counts():
+    return _reference_component_counts
+
+
+def _reference_cell_boxes(complex):
+    """The per-cell loop of `partition.build_cells` before
+    `partition._cell_boxes`, its reference: per cell, its grid points by a
+    mask over the whole grid, the band margin of each, ``np.argmax`` for
+    the representative, and the bounding box of its grid points stacked
+    with the facet points of its adjacencies. Returns (rep_point, bbox)
+    per cell."""
+    pts = complex._points
+    phi_vals = [ex.compile_vector(f.phi)(pts) for f in complex.families]
+    extra_pts = {}
+    for adj in complex.adjacency:
+        for cid in (adj.a, adj.b):
+            extra_pts.setdefault(cid, []).extend(adj.facet_points)
+    out = []
+    for i, c in enumerate(complex.cells):
+        flat_idx = np.flatnonzero(complex._cell_index_flat == i)
+        cpts = pts[flat_idx]
+        margin = np.full(len(cpts), np.inf)
+        for pos, (fam, vals) in enumerate(zip(complex.families, phi_vals)):
+            lo, hi = fam.band(c.y[pos])
+            v = vals[flat_idx]
+            margin = np.minimum(margin, np.minimum(v - lo, hi - v))
+        rep = tuple(float(v) for v in cpts[int(np.argmax(margin))])
+        allpts = cpts
+        if c.id in extra_pts:
+            allpts = np.vstack([cpts, np.array(extra_pts[c.id])])
+        bbox = (tuple(float(v) for v in allpts.min(axis=0)),
+                tuple(float(v) for v in allpts.max(axis=0)))
+        out.append((rep, bbox))
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_cell_boxes():
+    return _reference_cell_boxes
+
+
+def _reference_check_admissibility(sys, g, fam, grid, equilibria):
+    """`model.check_admissibility` before the sign tests read boolean masks,
+    its reference: phi and phidot on the grid, the equilibrium exclusions,
+    then per slice a copy of its points and values."""
+    phid = ex.compile_vector(md.lie_derivative(sys, g, fam))
+    phi_v = ex.compile_vector(fam.phi)
+    pts = sys.domain.grid(grid)
+    phi_vals = phi_v(pts)
+    vals = phid(pts)
+
+    keep = np.ones(len(pts), dtype=bool)
+    for p in equilibria:
+        keep &= np.linalg.norm(pts - np.asarray(p), axis=1) > md.R_CRIT
+
+    signs = {}
+    for h in range(1, fam.band_count + 1):
+        mask = fam.band_mask(h, phi_vals) & keep
+        if not mask.any():
+            continue
+        v = vals[mask]
+        p = pts[mask]
+        pos = v > 0
+        neg = v < 0
+        if pos.all():
+            signs[h] = 1
+        elif neg.all():
+            signs[h] = -1
+        else:
+            if pos.any() and neg.any():
+                ia = int(np.argmax(v))
+                ib = int(np.argmin(v))
+            else:
+                ia = int(np.argmin(np.abs(v)))
+                ib = int(np.argmax(np.abs(v)))
+            raise AdmissibilityError(fam.index, h, p[ia], float(v[ia]),
+                                     p[ib], float(v[ib]))
+    return signs
+
+
+@pytest.fixture(scope="session")
+def reference_check_admissibility():
+    return _reference_check_admissibility
+
+
 @pytest.fixture(scope="session")
 def reference_level_edges():
     return _reference_level_edges
@@ -447,6 +570,46 @@ def _reference_golden_min(fun, lo, hi):
     return (c, fc) if fc <= fd else (d, fd)
 
 
+def _reference_refine(phi_s, lie_s, x0, maximize, box, spacing, band):
+    """The refinement of `bounds` before `expr.compile_refine` generated
+    it, the reference for that kernel: `_REF_REFINE_ITERS` coordinate
+    sweeps of golden-section line searches over closures that call the
+    compiled scalars ``phi_s`` and ``lie_s``, always all of them. ``box``
+    holds one (lo, hi) pair per coordinate and ``band`` the raw band.
+    Returns the point as a list of floats and |lie| there."""
+    # Refinement runs on lists of floats. A candidate y differs from the
+    # current point, which lies in the box, only in coordinate d.
+    def feasible(y, d):
+        return (box[d][0] <= y[d] <= box[d][1]
+                and band[0] <= phi_s(y) <= band[1])
+
+    x = [float(v) for v in x0]
+    for _ in range(_REF_REFINE_ITERS):
+        for d in range(len(x)):
+            a = max(box[d][0], x[d] - spacing[d])
+            b = min(box[d][1], x[d] + spacing[d])
+
+            def along(t, d=d):
+                y = x.copy()
+                y[d] = t
+                if not feasible(y, d):
+                    return math.inf
+                v = abs(lie_s(y))
+                return -v if maximize else v
+
+            t_best, _ = _reference_golden_min(along, a, b)
+            y = x.copy()
+            y[d] = t_best
+            if feasible(y, d):
+                x = y
+    return x, abs(lie_s(tuple(x)))
+
+
+@pytest.fixture(scope="session")
+def reference_refine():
+    return _reference_refine
+
+
 def _reference_extremal(slc, g, fam, sys, grid=64, *, equilibria):
     """`bounds.extremal_lie_derivative` before `expr.compile_refine`
     generated its refinement, the reference for that kernel and for
@@ -468,36 +631,13 @@ def _reference_extremal(slc, g, fam, sys, grid=64, *, equilibria):
     sample_pts = pts[mask]
     vals = np.abs(phid_v(sample_pts))
 
-    lo_b = sys.domain.lower
-    hi_b = sys.domain.upper
-    spacing = [(b - a) / (grid - 1) for a, b in zip(lo_b, hi_b)]
-
-    # Refinement runs on lists of floats. A candidate y differs from the
-    # current point, which lies in the box, only in coordinate d.
-    def feasible(y, d):
-        return lo_b[d] <= y[d] <= hi_b[d] and slc.lo <= phi_s(y) <= slc.hi
+    box = tuple(zip(sys.domain.lower, sys.domain.upper))
+    spacing = [(b - a) / (grid - 1) for a, b in box]
+    band = (slc.lo, slc.hi)
 
     def refine(x0, maximize):
-        x = [float(v) for v in x0]
-        for _ in range(_REF_REFINE_ITERS):
-            for d in range(sys.n):
-                a = max(lo_b[d], x[d] - spacing[d])
-                b = min(hi_b[d], x[d] + spacing[d])
-
-                def along(t, d=d):
-                    y = x.copy()
-                    y[d] = t
-                    if not feasible(y, d):
-                        return math.inf
-                    v = abs(phid_s(y))
-                    return -v if maximize else v
-
-                t_best, _ = _reference_golden_min(along, a, b)
-                y = x.copy()
-                y[d] = t_best
-                if feasible(y, d):
-                    x = y
-        return np.array(x)
+        return np.array(_reference_refine(phi_s, phid_s, x0, maximize, box,
+                                          spacing, band)[0])
 
     x_min = refine(sample_pts[int(np.argmin(vals))], maximize=False)
     x_max = refine(sample_pts[int(np.argmax(vals))], maximize=True)

@@ -201,6 +201,39 @@ def test_refine_kernel_matches_reference(name, reference_extremal):
     assert entries == len(table.extremals)
 
 
+@pytest.mark.parametrize("start,maximize,h", [
+    # the argmax start of phase_plane's slice 4 of family 1 under brake:
+    # the second sweep leaves every bit as the first left it
+    ((-3.0, 3.0), True, 4),
+    ((0.0, 1.0), False, 1),
+    ((-0.0, 1.0), False, 1),
+    ((1.0, -0.0), True, 2),
+], ids=["fixed-after-one-sweep", "zero", "negative-zero", "zero-second"])
+def test_refine_kernel_matches_reference_from_start(nav2d, start, maximize,
+                                                    h, reference_refine):
+    """From starts where the kernel stops at a fixed point, or with a
+    coordinate at +0.0 or -0.0, its point and value are those of all the
+    reference's sweeps bit for bit."""
+    fam = nav2d.fam1
+    phid = lg.lie_derivative(nav2d.sys, nav2d.brake, fam)
+    box = tuple(zip(nav2d.box.lower, nav2d.box.upper))
+    spacing = tuple((b - a) / 95 for a, b in box)
+    kernel = ex.compile_refine(fam.phi, phid, 2)
+
+    def run(sweeps):
+        x, v = kernel(list(start), maximize, box, spacing, fam.band(h),
+                      sweeps, 60)
+        return [c.hex() for c in x], v.hex()
+
+    x, v = reference_refine(ex.compile_scalar(fam.phi),
+                            ex.compile_scalar(phid), start, maximize, box,
+                            spacing, fam.band(h))
+    assert run(3) == ([c.hex() for c in x], v.hex())
+    if start == (-3.0, 3.0):
+        first = run(1)
+        assert run(2) == first and first[0] != [c.hex() for c in start]
+
+
 def test_refine_kernel_raises_as_reference(reference_extremal):
     """A math-domain error inside the refinement raises from the kernel as
     from the closures: sqrt(x1) is refined from x1 = 1/63 with a bracket

@@ -1,6 +1,9 @@
 """Expression parsing, printing, evaluation, and differentiation."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -127,6 +130,54 @@ class TestNegativeConstant:
         assert neg != pos
         assert ex.compile_scalar(neg)(()).hex() == "-0x0.0p+0"
         assert ex.compile_scalar(pos)(()).hex() == "0x0.0p+0"
+
+
+class TestHash:
+    """Each node keeps its hash once computed; equality, repr, fields,
+    copies and pickles are as for plain frozen dataclasses."""
+
+    TEXT = "1.5*x1^2 + x1*x2 - sin(x2)/3 + -x1*u1"
+
+    def test_equal_trees_hash_alike(self):
+        a, b = p(self.TEXT), p(self.TEXT)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash(b)             # again, from the kept hashes
+        assert len({a, b, p(self.TEXT.replace("1.5", "2.5"))}) == 2
+        da, db = (ex.differentiate(e, "x1") for e in (a, b))
+        assert da == db and hash(da) == hash(db)
+
+    def test_hash_is_the_field_hash(self):
+        e = p(self.TEXT)
+        assert hash(e) == hash((e.left, e.right))
+        assert hash(ex.Var("x1")) == hash(("x1",))
+        assert hash(ex.Pow(ex.Var("x1"), 2)) == hash((ex.Var("x1"), 2))
+
+    def test_signed_zeros_stay_apart(self):
+        assert ex.Const(0.0) != ex.Const(-0.0)
+        assert ex.Const(0.0) == ex.Const(0.0)
+        assert len({ex.Const(0.0), ex.Const(-0.0)}) == 2
+        assert hash(ex.Const(-0.0)) == hash((-0.0, -1.0))
+
+    def test_fields_and_repr_unchanged(self):
+        e = p("-x1 + u1^3")
+        hash(e)
+        assert [f.name for f in dataclasses.fields(e)] == ["left", "right"]
+        assert [f.name for f in dataclasses.fields(ex.Pow(ex.Var("x1"), 2))] \
+            == ["base", "exponent"]
+        assert [f.name for f in dataclasses.fields(ex.Const(1.0))] == ["value"]
+        assert repr(e) == ("Add(left=Neg(arg=Var(name='x1')), "
+                           "right=Pow(base=Var(name='u1'), exponent=3))")
+
+    def test_copies_and_pickles(self):
+        e = p(self.TEXT)
+        before = pickle.dumps(e)
+        hash(e)
+        assert pickle.dumps(e) == before      # the kept hash is not state
+        for other in (copy.deepcopy(e), copy.copy(e), pickle.loads(before)):
+            assert other == e and hash(other) == hash(e)
+            assert "_hash" not in pickle.loads(pickle.dumps(other)).__dict__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.left = ex.Const(1.0)
 
 
 class TestDifferentiate:

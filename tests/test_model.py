@@ -83,6 +83,63 @@ class TestLieDerivative:
             assert ld(x1) == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
+# phase_plane with a second family, x1^2 + x2^2, that neither control keeps
+# strictly monotone: under brake its Lie derivative is -4 x2^2, zero on the
+# x1 axis (which the odd admissibility grid holds), and under firm it takes
+# both signs
+TWO_FAMILY_INADMISSIBLE = {
+    "state_dim": 2, "input_dim": 1,
+    "domain": {"lower": [-3.0, -3.0], "upper": [3.0, 3.0]},
+    "dynamics": ["x2", "u1"],
+    "controls": {"brake": ["-x1 - 2*x2"], "firm": ["-2*x1 - 3*x2"]},
+    "partitions": [
+        {"phi": "1.5*x1^2 + x1*x2 + 0.5*x2^2",
+         "levels": [0.0, 1.0, 2.5, 5.0, 9.0, 27.5]},
+        {"phi": "x1^2 + x2^2", "levels": [0.0, 2.0, 18.5]}],
+    "grid": {"points_per_dim": 96, "admissibility": 97},
+}
+
+
+def _witness_bits(err):
+    return (err.family, err.slice_index,
+            [v.hex() for v in err.witness_a], err.value_a.hex(),
+            [v.hex() for v in err.witness_b], err.value_b.hex())
+
+
+@pytest.mark.parametrize("name", ["example1d_with_g15", "two-family"])
+def test_admissibility_witnesses_match_reference(
+        name, reference_check_admissibility):
+    """`admissibility_map` raises on the first failing (family, control,
+    slice) of the reference's order, with the reference's family, slice,
+    witness points and values bit for bit; `check_admissibility` raises the
+    same for that control. example1d_with_g15 fails with mixed signs on
+    its only family, the two-family spec with an exact zero on its
+    second."""
+    spec = (cli.SystemSpec(TWO_FAMILY_INADMISSIBLE) if name == "two-family"
+            else cli.SystemSpec.load(os.path.join(SPEC_DIR, name + ".json")))
+    sysr, grid = spec.system, spec.adm_grid
+    equilibria = {g.name: lg.critical_points(sysr, g) for g in spec.controls}
+    first = None
+    for fam in spec.families:
+        for g in spec.controls:
+            try:
+                reference_check_admissibility(sysr, g, fam, grid,
+                                              equilibria[g.name])
+            except AdmissibilityError as err:
+                first = first or (fam, g, err)
+    fam, g, want = first
+    assert (fam.index, g.name) == {"example1d_with_g15": (1, "g15"),
+                                   "two-family": (2, "brake")}[name]
+    with pytest.raises(AdmissibilityError) as err:
+        lg.admissibility_map(sysr, spec.controls, spec.families, grid=grid,
+                             equilibria=equilibria)
+    assert _witness_bits(err.value) == _witness_bits(want)
+    with pytest.raises(AdmissibilityError) as err:
+        lg.check_admissibility(sysr, g, fam, grid=grid,
+                               equilibria=equilibria[g.name])
+    assert _witness_bits(err.value) == _witness_bits(want)
+
+
 class TestAdmissibility:
     def test_signs_1d(self, ex1d):
         t0 = lg.check_admissibility(ex1d.sys, ex1d.g0, ex1d.fam,

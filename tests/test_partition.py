@@ -19,7 +19,7 @@ from lyagate.errors import (
     ResolutionError,
 )
 
-from conftest import PENDULUM_SPEC, QUARTIC_SPEC
+from conftest import PENDULUM_SPEC, QUARTIC_SPEC, _random_linear_system
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -437,13 +437,16 @@ class TestTouchIndex:
         _assert_indexed(nav2d.complex, (1e-3 * x, 1e-3 * dx))
 
 
+# a band thinner than the step of a 64-point grid over [-3, 3]
+_BETWEEN = lg.PartitioningFamily(index=1, phi=ex.parse_expression("x1", 1, 0),
+                                 levels=(-3.0, -0.01, 0.01, 3.0))
+
+
 class TestResolution:
     def test_band_between_coarse_points_refused(self, ex1d):
         """The band (-0.01, 0.01] holds no point of the 64-point grid (its
         nearest points are +-3/63) but holds the doubled grid's point 0."""
-        fam = lg.PartitioningFamily(
-            index=1, phi=ex.parse_expression("x1", 1, 0),
-            levels=(-3.0, -0.01, 0.01, 3.0))
+        fam = _BETWEEN
         with pytest.raises(ResolutionError, match="between grid 64 and 127") as err:
             lg.build_cells([fam], ex1d.box, grid=64)
         assert str(err.value).endswith(
@@ -451,6 +454,92 @@ class TestResolution:
         coarse = lg.build_cells([fam], ex1d.box, grid=64,
                                 stability_check=False)
         assert [c.y for c in coarse.cells] == [(1,), (3,)]
+
+    def test_two_family_message(self):
+        """Both count dicts print in band-tuple order (not in the order of
+        the mixed-radix band keys, which sorts by the last family first),
+        with the band tuples only the doubled grid holds in their place."""
+        box = lg.Box((-3.0, -3.0), (3.0, 3.0))
+        fams = [lg.PartitioningFamily(1, ex.parse_expression("x1", 2, 0),
+                                      (-3.0, -0.01, 0.01, 3.0)),
+                lg.PartitioningFamily(2, ex.parse_expression("x2", 2, 0),
+                                      (-3.0, 0.5, 3.0))]
+        with pytest.raises(ResolutionError) as err:
+            lg.build_cells(fams, box, grid=64)
+        assert str(err.value) == (
+            "component counts changed between grid 64 and 127: "
+            "{(1, 1): 1, (1, 2): 1, (3, 1): 1, (3, 2): 1} vs "
+            "{(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 1): 1, "
+            "(3, 2): 1}; the grid does not resolve band tuple(s) (2, 1), "
+            "(2, 2): raise grid.points_per_dim above 64")
+
+
+# complexes whose doubled-grid counts and cell boxes are compared with the
+# references in conftest.py: the shared scenarios, the thin band at 64
+# points, random linear systems, and a phi that is NaN on part of the grid
+REFERENCE_CASES = (["ex1d", "nav2d", "corners", "between"]
+                   + ["random-%dd-%d" % (dim, seed)
+                      for dim in (1, 2) for seed in range(5)])
+
+
+def _reference_case(request, name):
+    """The complex of one of REFERENCE_CASES or "non-finite", built without
+    the stability check."""
+    if name in ("ex1d", "nav2d", "corners"):
+        return request.getfixturevalue(name).complex
+    if name == "between":
+        return lg.build_cells([_BETWEEN], lg.Box((-3.0,), (3.0,)), grid=64,
+                              stability_check=False)
+    if name == "non-finite":
+        # phi is x1^2 below x1 = 2.9 and NaN (inf * 0) from there on
+        phi = ex.parse_expression(
+            "x1^2 + (sign(x1 - 2.9) + 1)*1e308*1e308*0", 1, 0)
+        fam = lg.PartitioningFamily(index=1, phi=phi, levels=(0.0, 1.0, 9.0))
+        return lg.build_cells([fam], lg.Box((-3.0,), (3.0,)), grid=64,
+                              stability_check=False)
+    _, dim, seed = name.split("-")
+    sysr, _, fam = _random_linear_system(np.random.default_rng(int(seed)),
+                                         int(dim[0]))
+    return lg.build_cells([fam], sysr.domain, grid=64, stability_check=False)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES)
+def test_component_counts_match_reference(request, name,
+                                          reference_component_counts):
+    """The count-only doubled-grid pass gives the reference's counts with
+    the same keys in the same order, from the coarse complex's band
+    tuples; "between" needs a band tuple the coarse grid lacks."""
+    cx = _reference_case(request, name)
+    coarse = {}
+    for c in cx.cells:
+        coarse[c.y] = coarse.get(c.y, 0) + 1
+    fine = 2 * cx.grid - 1
+    got = pt._component_counts(cx.families, cx.box, fine, list(coarse))
+    want = reference_component_counts(cx.families, cx.box, fine)
+    assert list(got.items()) == list(want.items())
+    if name == "between":
+        assert list(got) == [(1,), (2,), (3,)] != list(coarse)
+
+
+@pytest.mark.parametrize("name", REFERENCE_CASES + ["non-finite"])
+def test_cell_boxes_match_reference(request, name, reference_cell_boxes):
+    """Every cell's representative point and bounding box are the per-cell
+    loop's bit for bit, a NaN band margin included."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cx = _reference_case(request, name)
+        want = reference_cell_boxes(cx)
+
+    def bits(point):
+        return [float(v).hex() for v in point]
+
+    assert len(want) == len(cx.cells)
+    for c, (rep, (lo, hi)) in zip(cx.cells, want):
+        assert bits(c.rep_point) == bits(rep), c.id
+        assert (bits(c.bbox[0]), bits(c.bbox[1])) == (bits(lo), bits(hi)), c.id
+    if name == "non-finite":
+        # the right cell's margins are NaN beyond x1 = 2.9, and the first
+        # NaN is its representative
+        assert [c.rep_point[0] > 2.9 for c in cx.cells] == [False, False, True]
 
 
 class TestNav2D:
