@@ -26,8 +26,8 @@ SANDWICH_TOL = 1e-6
 
 def epsilon_t(step_error):
     """Dwell-time tolerance of one trace: 1e-6 of modelling slack plus ten
-    times its measured ``HybridTrace.step_error``, the integrator's share,
-    which never adds more than ``sim.STEP_ERROR_BUDGET``."""
+    times its ``HybridTrace.step_error`` (an estimate, not a bound), the
+    integrator's share, which never adds more than ``sim.STEP_ERROR_BUDGET``."""
     return 1e-6 + min(10.0 * step_error, sm.STEP_ERROR_BUDGET)
 
 

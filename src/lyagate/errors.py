@@ -134,6 +134,21 @@ class NonFiniteStateError(LyagateError):
     """Integration produced a non-finite state."""
 
 
+def raise_float_error(err, x, t, h):
+    """Raise ``err``, a float error of the RK4 step of length ``h`` from
+    state ``x`` at time ``t``, as the package's own, which the CLI reports
+    as bad input: overflow as ``NonFiniteStateError``, division by zero or a
+    math-domain ValueError as ``EvalDomainError``; other ValueErrors as is."""
+    if isinstance(err, OverflowError):
+        raise NonFiniteStateError(
+            "state overflows in the step to t=%g" % (t + h)) from err
+    if isinstance(err, ZeroDivisionError):
+        raise EvalDomainError("division by zero", x, ()) from err
+    if str(err) != "math domain error":
+        raise err
+    raise EvalDomainError("math domain error", x, ()) from err
+
+
 class StrategyError(LyagateError):
     """Strategy is missing a cell or names an unknown control."""
 

@@ -21,7 +21,9 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .errors import EvalDomainError, ExprSyntaxError, UnknownVariableError
+from .errors import (
+    EvalDomainError, ExprSyntaxError, UnknownVariableError, raise_float_error,
+)
 
 __all__ = [
     "Const", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
@@ -677,7 +679,8 @@ def _rk4_body(exprs, pad):
 
 def _exec_def(lines, name):
     namespace = {"math": math, "np": np, "_sign": _py_sign, "abs": abs,
-                 "copysign": math.copysign}
+                 "copysign": math.copysign,
+                 "raise_float_error": raise_float_error}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
@@ -702,6 +705,25 @@ def compile_step(exprs) -> Callable:
     return _exec_def(lines, "step")
 
 
+def _stepping(field_exprs, full, rest, after):
+    """The stepping loop of ``compile_stay`` and ``compile_walk`` from the
+    local floats ``x0, x1, ...`` at time ``t``: steps of length ``hmax``
+    (``0.5 * hmax`` and ``hmax / 6.0`` bound once) while ``full`` and
+    ``horizon - t > hmax`` hold, then of length ``horizon - t`` while
+    ``rest`` holds. Each ``_rk4_body`` sits in a try that passes its float
+    errors to ``errors.raise_float_error``; ``after`` follows each step."""
+    xs = ", ".join("x%d" % i for i in range(len(field_exprs)))
+    step = (["        try:"] + _rk4_body(field_exprs, "            ")
+            + ["        except (OverflowError, ZeroDivisionError, "
+               "ValueError) as err:",
+               "            raise_float_error(err, (%s,), t, h)" % xs]
+            + after)
+    return (["    h = hmax", "    hh = 0.5 * h", "    s = h / 6.0",
+             "    while %shorizon - t > hmax:" % full] + step
+            + ["    while %s:" % rest, "        h = horizon - t",
+               "        hh = 0.5 * h", "        s = h / 6.0"] + step)
+
+
 @lru_cache(maxsize=None)
 def compile_stay(field_exprs, phi_exprs) -> Callable:
     """Compile one whole stay in a (cell, control) location.
@@ -720,56 +742,58 @@ def compile_stay(field_exprs, phi_exprs) -> Callable:
     the last step taken, the number of accepted steps, and the time and
     state before the last accepted step (the start when none was accepted).
 
-    The steps run in two loops: full steps of length ``hmax`` while
-    ``horizon - t > hmax``, with ``0.5 * hmax`` and ``hmax / 6.0`` bound
-    once, then the shortened steps that end at the horizon.
-
-    Bit-identity contract: every step is the step of ``compile_step``
-    (the same generated statements, with the same ``0.5 * h`` and
-    ``h / 6.0``), and each phi is evaluated inline with the operations of
-    ``compile_scalar``, so the returned values are bit for bit those of a
-    loop that calls ``compile_step`` and the compiled phis and checks the
-    box and bands. No finiteness check is made: a nan or infinite coordinate
-    fails its finite box check, so the step that produced it is rejected
-    and returned as ``xn``. Float errors inside the field or a phi
-    (ZeroDivisionError, OverflowError, math-domain ValueError) propagate;
-    replaying the stay's steps finds the step that raised.
+    Bit-identity contract: the steps are ``_stepping``'s, each the step of
+    ``compile_step`` (the same generated statements, with the same
+    ``0.5 * h`` and ``h / 6.0``), and each phi is evaluated inline with the
+    operations of ``compile_scalar``, so the returned values are bit for bit
+    those of a loop that calls ``compile_step`` and the compiled phis and
+    checks the box and bands. No finiteness check is made: a nan or infinite
+    coordinate fails its finite box check, so the step that produced it is
+    rejected and returned as ``xn``. A float error of the field becomes the
+    package's own at the step that raised it, as in ``sim._advance``; one
+    of a phi propagates as it is.
     """
     idx = range(len(field_exprs))
     xs = ", ".join("x%d" % i for i in idx)
     ps = ", ".join("p%d" % i for i in idx)
     leave = "            return t, (%s,), (%s,), h, k, tp, (%s,)" % (
         xs, ", ".join("n%d" % i for i in idx), ps)
-    step = _rk4_body(field_exprs, "        ")
-    step += ["        if not (%s):" % " and ".join(
+    after = ["        if not (%s):" % " and ".join(
         "bl%d <= n%d <= bh%d" % (i, i, i) for i in idx), leave]
     for j, e in enumerate(phi_exprs):
-        step += ["        if not fl%d <= %s <= fh%d:"
-                 % (j, _emit(e, _SCALAR_FUNCS, "n%d", "u%d"), j), leave]
-    step += ["        tp = t"] + ["        p%d = x%d" % (i, i) for i in idx]
-    step += ["        t += h"] + ["        x%d = n%d" % (i, i) for i in idx]
-    step.append("        k += 1")
+        after += ["        if not fl%d <= %s <= fh%d:"
+                  % (j, _emit(e, _SCALAR_FUNCS, "n%d", "u%d"), j), leave]
+    after += ["        tp = t"] + ["        p%d = x%d" % (i, i) for i in idx]
+    after += ["        t += h"] + ["        x%d = n%d" % (i, i) for i in idx]
+    after.append("        k += 1")
     lines = ["def stay(x, t, t_stop, horizon, hmax, box, bands):",
              "    %s, = x" % xs,
              "    %s, = box" % ", ".join("(bl%d, bh%d)" % (i, i) for i in idx)]
     if phi_exprs:
         lines.append("    %s, = bands" % ", ".join(
             "(fl%d, fh%d)" % (j, j) for j in range(len(phi_exprs))))
-    lines += ["    k = 0",
-              "    tp = t",
-              "    %s = %s" % (ps, xs),
-              "    h = hmax",
-              "    hh = 0.5 * h",
-              "    s = h / 6.0",
-              "    while horizon - t > hmax:"]
-    lines += step
-    lines += ["    while t < t_stop:",
-              "        h = horizon - t",
-              "        hh = 0.5 * h",
-              "        s = h / 6.0"]
-    lines += step
+    lines += ["    k = 0", "    tp = t", "    %s = %s" % (ps, xs)]
+    lines += _stepping(field_exprs, "", "t < t_stop", after)
     lines.append("    return t, (%s,), None, h, k, tp, (%s,)" % (xs, ps))
     return _exec_def(lines, "stay")
+
+
+@lru_cache(maxsize=None)
+def compile_walk(field_exprs) -> Callable:
+    """Compile ``walk(x, t, k, horizon, hmax, times, coords)``: from state
+    ``x`` at time ``t``, exactly ``k`` of ``_stepping``'s steps, appending
+    each time to ``times`` and each state's coordinates to ``coords``, with
+    no check: the states ``compile_stay`` accepted from there, bit for bit."""
+    idx = range(len(field_exprs))
+    after = ["        t += h"] + ["        x%d = n%d" % (i, i) for i in idx]
+    after += ["        append(t)",
+              "        extend((%s,))" % ", ".join("n%d" % i for i in idx),
+              "        k -= 1"]
+    lines = ["def walk(x, t, k, horizon, hmax, times, coords):",
+             "    %s, = x" % ", ".join("x%d" % i for i in idx),
+             "    append, extend = times.append, coords.extend"]
+    lines += _stepping(field_exprs, "k and ", "k", after)
+    return _exec_def(lines, "walk")
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -7,15 +7,16 @@ to the textbook RK4 step over ``expr.compile_field``. One stay in a
 (cell, control) location runs in a generated kernel (``expr.compile_stay``)
 that takes those same steps, with the box and band checks and every phi
 inline, while the state stays in the box and every phi in the cell's band.
-It records nothing per step: it returns how many steps it accepted. The
-first step that leaves goes to the event code: a non-finite state is an
-error, and the earliest crossing of a level or a box face is localized by
-bisection on phi(x(t)) - a (or x_d(t) - a) within the step (the dense state
-comes from re-taking the step with a shorter length, so event states are
-exactly reproducible). Leaving the box, or crossing a level with no cell on
-the other side, ends the trace with a sink event. More than 10 events
-inside a 10-step window aborts with a chattering error, the stand-in for
-sliding behaviour this toolkit does not model.
+It records nothing per step: it returns how many steps it accepted, and it
+turns a float error of the field into the package's own at the step that
+raised it. The first step that leaves goes to the event code: a non-finite
+state is an error, and the earliest crossing of a level or a box face is
+localized by bisection on phi(x(t)) - a (or x_d(t) - a) within the step
+(the dense state comes from re-taking the step with a shorter length, so
+event states are exactly reproducible). Leaving the box, or crossing a
+level with no cell on the other side, ends the trace with a sink event.
+More than 10 events inside a 10-step window aborts with a chattering error,
+the stand-in for sliding behaviour this toolkit does not model.
 
 A trace records the run it took as visits: one (cell, control, first
 sample index) per location entered, with the RK4 steps accepted in each.
@@ -23,10 +24,9 @@ The sample of a crossing opens the next visit; the sample of a sink event
 closes the last one. The run (``location_sequence``, which
 ``conformance.check_sound`` embeds) reads the visits and the event times
 only. The samples are built only when ``HybridTrace.trajectory`` is read:
-each stay's steps are replayed from the sample that opened it with the
-same step function and step-length rule, so they are bit for bit the
-states the simulation took. The trace's segments and its CSV rows read
-them.
+a walker (``expr.compile_walk``, the stay kernel's stepping code) takes
+each visit's steps again from the sample that opened it, bit for bit. The
+trace's segments and its CSV rows read them.
 
 The step is read from the measured local error. ``default_step`` caps it
 at a quarter of the fastest band traversal (band gap / max |L_g phi| on a
@@ -34,10 +34,11 @@ at a quarter of the fastest band traversal (band gap / max |L_g phi| on a
 grid, and reads the event-time error of each phi by step doubling. Since
 the error grows as h**4, it shrinks the cap until a run of ``STEP_HORIZON``
 time units stays within a tenth of ``STEP_ERROR_BUDGET``; ``--step`` is the
-only override. Each trace checks the budget a posteriori the same way: at
-every event and at the trace's last step the step just taken is taken again
-as two halves, and the difference, turned into a time error and multiplied
-by the steps of that stay, is the trace's ``step_error``.
+only override. Each trace estimates its error the same way: at every event
+and at the trace's last step the step just taken is taken again as two
+halves, and the difference, turned into a time error and multiplied by the
+steps of that stay, is the trace's ``step_error``, an estimate and not a
+bound (on example1d the true error runs up to 1.17 times it).
 ``conformance.check_sound`` holds it against the budget of 1e-7, a tenth of
 the replay tolerance's modelling slack, and sizes each trace's replay
 tolerance by it (``conformance.epsilon_t``).
@@ -48,7 +49,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from math import isfinite
 from operator import itemgetter
 from typing import Mapping
@@ -59,7 +59,7 @@ from . import expr as ex
 from . import model as md
 from .errors import (
     ChatteringError, EvalDomainError, LyagateError, ModelError,
-    NonFiniteStateError, OutOfDomainError, StrategyError,
+    NonFiniteStateError, OutOfDomainError, StrategyError, raise_float_error,
 )
 from .partition import CellComplex
 
@@ -107,29 +107,27 @@ class HybridTrace:
     # RK4 steps accepted in each visit, one per visit
     stay_steps: list
     start: tuple             # the state at t = 0
-    steppers: dict           # control name -> its compile_step function
+    walkers: dict            # control name -> its compile_walk function
     step: float
     horizon: float
     exited: bool = False
-    # largest event-time error estimate over the trace's events and its last
-    # step: the step-doubling difference, times the steps of that stay
+    # largest event-time error estimate (not a bound) over the events and
+    # the last step: the step-doubling difference, times the stay's steps
     step_error: float = 0.0
 
     @cached_property
     def trajectory(self):
         """Every sample: the start and each event sample, each followed by
-        the steps of the visit it opens, replayed from it."""
+        the steps of the visit it opens, from one call of its walker."""
         samples = [(0.0, self.start)] + [(e.time, e.state) for e in self.events]
         times, coords = [], []
         for k, (t, x) in enumerate(samples):
             times.append(t)
             coords += x
             if k < len(self.visits):
-                replay = _replay(self.steppers[self.visits[k][1]], x, t,
-                                 self.step, self.horizon)
-                for t, x in islice(replay, self.stay_steps[k]):
-                    times.append(t)
-                    coords += x
+                self.walkers[self.visits[k][1]](
+                    x, t, self.stay_steps[k], self.horizon, self.step,
+                    times, coords)
         return Trajectory(times=np.fromiter(times, float),
                           states=np.fromiter(coords, float).reshape(
                               -1, len(self.start)),
@@ -173,35 +171,12 @@ class HybridTrace:
 
 
 def _advance(step, x, h, t):
-    """One RK4 step of length h from state x at time t.
-
-    Python floats raise where IEEE arithmetic would give inf or nan; those
-    errors become the package's own so that the CLI reports them as bad
-    input rather than as an internal error.
-    """
+    """One RK4 step of length h from state x at time t; a float error
+    becomes the package's own (``errors.raise_float_error``)."""
     try:
         return step(x, h)
-    except OverflowError as err:
-        raise NonFiniteStateError(
-            "state overflows in the step to t=%g" % (t + h)) from err
-    except ZeroDivisionError as err:
-        raise EvalDomainError("division by zero", x, ()) from err
-    except ValueError as err:
-        if str(err) != "math domain error":
-            raise
-        raise EvalDomainError("math domain error", x, ()) from err
-
-
-def _replay(step_fn, x, t, hmax, horizon):
-    """The (time, state) after each step of a stay that starts at (t, x):
-    RK4 steps of length ``min(hmax, horizon - t)``, the rule of
-    ``expr.compile_stay``, through ``_advance``, until the horizon."""
-    t_stop = horizon - 1e-15
-    while t < t_stop:
-        h = min(hmax, horizon - t)
-        x = _advance(step_fn, x, h, t)
-        t += h
-        yield t, x
+    except (OverflowError, ZeroDivisionError, ValueError) as err:
+        raise_float_error(err, x, t, h)
 
 
 def default_step(sys, controls, families):
@@ -216,16 +191,18 @@ def default_step(sys, controls, families):
     ``STEP_PROBES``-point grid under each control, and ``_step_errors``
     turns it into the event-time error of every phi (a phi that does not
     move over the step is skipped, and so is a point where the field or a
-    phi hits a float domain error or overflows). rho, the largest of these per unit of step time, is a
-    trace's ``step_error`` per unit of stay time at the cap.
+    phi hits a float domain error or overflows). rho, the largest of these
+    per unit of step time, estimates a trace's ``step_error`` per unit of
+    stay time at the cap.
 
     Contract: the error grows as ``h**4`` and in proportion to stay length,
     so the step ``cap * min(1, (STEP_ERROR_BUDGET / (10 rho STEP_HORIZON))
-    ** 0.25)`` keeps ``step_error`` within a tenth of ``STEP_ERROR_BUDGET``
-    on runs up to ``STEP_HORIZON`` long. Longer runs, and box exits (whose
-    time error is unbounded where the exit is tangential, so no probe can
-    size it), are not covered by the rule; every trace still measures its
-    own ``step_error``, and the CLI warns when it is over budget.
+    ** 0.25)`` keeps the ``step_error`` estimate (not a bound on the true
+    error) within a tenth of ``STEP_ERROR_BUDGET`` on runs up to
+    ``STEP_HORIZON`` long. Longer runs, and box exits (whose time error is
+    unbounded where the exit is tangential, so no probe can size it), are
+    not covered by the rule; every trace still estimates its own
+    ``step_error``, and the CLI warns when it is over budget.
 
     Box exits are only seen at step ends: a trajectory that leaves the box
     and comes back within one step makes no event and adds nothing to
@@ -294,6 +271,7 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         raise LyagateError("step must be finite and positive, got %r" % (h,))
     chooser = _as_chooser(strategy)
     steppers = {g.name: ex.compile_step(sys.closed_loop(g)) for g in controls}
+    walkers = {g.name: ex.compile_walk(sys.closed_loop(g)) for g in controls}
     families = complex.families
     phi_fns = [ex.compile_scalar(fam.phi) for fam in families]
     phis = tuple(fam.phi for fam in families)
@@ -336,18 +314,8 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         step_fn = steppers[ctrl]
         y = complex.cell(cell).y
         bands = [fam.band(y[i]) for i, fam in enumerate(families)]
-        try:
-            t, x, xn, step, stayed, t_prev, x_prev = stays[ctrl](
-                x, t, t_stop, horizon, h, box, bands)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            # t and x still hold the stay's start: replaying its steps
-            # through _advance turns an error of the field into the
-            # package's own at the step that failed; an error of a phi
-            # propagates as it is
-            for _, xr in _replay(step_fn, x, t, h, horizon):
-                for phi in phi_fns:
-                    phi(xr)
-            raise
+        t, x, xn, step, stayed, t_prev, x_prev = stays[ctrl](
+            x, t, t_stop, horizon, h, box, bands)
         stay_steps[-1] += stayed
         if xn is None:
             if stayed:
@@ -442,13 +410,13 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
         ctrl = enter(cell)
 
     return HybridTrace(events=events, visits=visits, stay_steps=stay_steps,
-                       start=start, steppers=steppers, step=h,
+                       start=start, walkers=walkers, step=h,
                        horizon=horizon, exited=exited, step_error=step_error)
 
 
 def _step_errors(step_fn, x, xn, step, t, values):
     """Event-time error of one RK4 step, estimated by step doubling, for
-    each of ``values``.
+    each of ``values``: an estimate, not a bound.
 
     The step from ``x`` to ``xn`` is taken once more as two halves; the two
     results differ by about the full step's local error (Hairer, Norsett &
@@ -458,8 +426,8 @@ def _step_errors(step_fn, x, xn, step, t, values):
     step (the secant of the value over the step, i.e. the mean of
     ``L_g phi`` or of ``f_d``), is the shift that error causes in the time
     at which the value reaches a threshold: inf when the value differs but
-    does not move. A value that cannot be evaluated raises as ``_advance``
-    does.
+    does not move. A value that cannot be evaluated (division by zero, math
+    domain) raises as ``_advance`` does.
     """
     half = 0.5 * step
     xh = _advance(step_fn, _advance(step_fn, x, half, t), half, t + half)
@@ -467,12 +435,8 @@ def _step_errors(step_fn, x, xn, step, t, values):
     for value in values:
         try:
             v, vn, vh = value(x), value(xn), value(xh)
-        except ZeroDivisionError as err:
-            raise EvalDomainError("division by zero", x, ()) from err
-        except ValueError as err:
-            if str(err) != "math domain error":
-                raise
-            raise EvalDomainError("math domain error", x, ()) from err
+        except (ZeroDivisionError, ValueError) as err:
+            raise_float_error(err, x, t, step)
         diff = abs(vn - vh)
         rate = abs(vn - v) / step
         errors.append(0.0 if diff == 0.0 else

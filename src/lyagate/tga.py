@@ -477,85 +477,81 @@ class RunReport:
 
 def run_feasible(tga, timed_sequence, initial_valuation=None, final_dwell=0.0,
                  tol=GUARD_TOL):
-    """Replay a timed location sequence through the automaton deterministically.
+    """Replay a timed location sequence through the automaton in one forward
+    pass (run semantics of Alur & Dill, TCS 126, 1994).
 
     ``timed_sequence`` is a list of (location name, entry time); delays are
     the gaps between entries. Guards are checked at firing time, invariants
     through every dwell (linear clocks: endpoint check suffices), and the
-    final location's invariant for ``final_dwell`` more time units. When
-    several transitions connect a pair, each is tried (depth-first, with an
-    explicit stack so that long runs need no recursion).
+    final location's invariant for ``final_dwell`` more time units. Each step
+    goes on with the first transition to the next location that fires (and,
+    at the last step, keeps the final dwell), logging each that fails. No
+    choice is undone: a built automaton has at most one transition per
+    (source, target) pair except into ``sink``, which ends every sequence.
     """
     if not timed_sequence:
         return RunReport(feasible=True)
-    v0 = initial_valuation if initial_valuation is not None else zero_valuation(tga.k)
+    v = initial_valuation if initial_valuation is not None else zero_valuation(tga.k)
     violations = []
     last = len(timed_sequence) - 1
 
-    def successors(i, name, v, t_now):
-        """States entered from step i, in candidate order; failures are logged."""
-        next_name, next_t = timed_sequence[i + 1]
+    def log(i, kind, location, detail):
+        violations.append({"step": i, "kind": kind, "location": location,
+                           "detail": detail})
+
+    def may_end(i, name, v):
+        """False, logged, when the run ends at step i in ``name`` and the
+        final dwell breaks its invariant."""
+        if i < last or final_dwell <= 0 or _invariant_ok(
+                tga.invariant_of(name), delay(v, final_dwell), tol):
+            return True
+        log(i, "invariant", name,
+            "final dwell %.6g exceeds the invariant" % final_dwell)
+        return False
+
+    name, t_now = timed_sequence[0]
+    if not _invariant_ok(tga.invariant_of(name), v, tol):
+        log(0, "invariant", name, "initial valuation violates invariant")
+        return RunReport(feasible=False, violations=violations)
+    feasible = may_end(0, name, v)
+    for i, (next_name, next_t) in enumerate(timed_sequence[1:]):
+        feasible = False
         dt = next_t - t_now
         if dt < -tol:
-            violations.append({"step": i, "kind": "time-order", "location": name,
-                               "detail": "entry times decrease"})
-            return
+            log(i, "time-order", name, "entry times decrease")
+            break
         dt = max(dt, 0.0)
         v_delayed = delay(v, dt)
         if not _invariant_ok(tga.invariant_of(name), v_delayed, tol):
-            violations.append({
-                "step": i, "kind": "invariant", "location": name,
-                "detail": "dwell %.6g violates invariant %s"
-                          % (dt, tga.invariant_of(name))})
-            return
+            log(i, "invariant", name, "dwell %.6g violates invariant %s"
+                % (dt, tga.invariant_of(name)))
+            break
         candidates = [t for t in tga.outgoing(name) if t.target == next_name]
         if not candidates:
-            violations.append({"step": i, "kind": "missing-edge",
-                               "location": name,
-                               "detail": "no transition to %s" % next_name})
-            return
+            log(i, "missing-edge", name, "no transition to %s" % next_name)
+            break
         for t in candidates:
             if not _guard_ok(t.guard, v_delayed, tol):
-                violations.append({
-                    "step": i, "kind": "guard", "location": name,
-                    "detail": "guard %s unsatisfied at valuation %s"
-                              % (t.guard, v_delayed)})
+                log(i, "guard", name, "guard %s unsatisfied at valuation %s"
+                    % (t.guard, v_delayed))
                 continue
             try:
                 v2 = apply_update(v_delayed, t.update)
             except NegativeClockError as err:
-                violations.append({"step": i, "kind": "negative-clock",
-                                   "location": name, "detail": str(err)})
+                log(i, "negative-clock", name, str(err))
                 continue
             if not _invariant_ok(tga.invariant_of(next_name), v2, tol):
-                violations.append({
-                    "step": i, "kind": "invariant", "location": next_name,
-                    "detail": "entry valuation %s violates invariant" % (v2,)})
+                log(i, "invariant", next_name,
+                    "entry valuation %s violates invariant" % (v2,))
                 continue
-            yield i + 1, next_name, v2, next_t
-
-    name0, t0 = timed_sequence[0]
-    if not _invariant_ok(tga.invariant_of(name0), v0, tol):
-        violations.append({"step": 0, "kind": "invariant", "location": name0,
-                           "detail": "initial valuation violates invariant"})
-        return RunReport(feasible=False, violations=violations)
-    stack = [iter([(0, name0, v0, t0)])]
-    while stack:
-        state = next(stack[-1], None)
-        if state is None:
-            stack.pop()
-            continue
-        i, name, v, t_now = state
-        if i < last:
-            stack.append(successors(i, name, v, t_now))
-            continue
-        if final_dwell > 0 and not _invariant_ok(
-                tga.invariant_of(name), delay(v, final_dwell), tol):
-            violations.append({
-                "step": i, "kind": "invariant", "location": name,
-                "detail": "final dwell %.6g exceeds the invariant" % final_dwell})
-            continue
-        return RunReport(feasible=True, violations=[], steps=len(timed_sequence),
-                         final_valuation=v)
+            if may_end(i + 1, next_name, v2):
+                feasible = True
+                break
+        if not feasible:
+            break
+        name, v, t_now = next_name, v2, next_t
+    if feasible:
+        return RunReport(feasible=True, violations=[],
+                         steps=len(timed_sequence), final_valuation=v)
     return RunReport(feasible=False, violations=violations,
                      steps=len(timed_sequence))

@@ -13,8 +13,10 @@ import lyagate as lg
 from lyagate import expr as ex
 from lyagate import model as md
 from lyagate import partition as pt
+from lyagate import tga as ta
 from lyagate.errors import (
     AdmissibilityError, EmptySliceError, NonFiniteStateError, OutOfDomainError,
+    raise_float_error,
 )
 
 
@@ -131,7 +133,9 @@ def _reference_stay(field_exprs, phi_exprs, x, t, t_stop, horizon, hmax,
     `expr.compile_stay` generated it, the reference for that kernel: textbook
     RK4 steps over `compile_field`, a finiteness check on every coordinate,
     the `compile_scalar` phis against their bands, then `itemgetter` box
-    checks. Takes the kernel's arguments and returns what it returns."""
+    checks. A float error of the field goes through
+    `errors.raise_float_error`, as the kernel's does. Takes the kernel's
+    arguments and returns what it returns."""
     field = ex.compile_field(field_exprs)
     checks = [(ex.compile_scalar(e), *band)
               for e, band in zip(phi_exprs, bands)]
@@ -141,7 +145,10 @@ def _reference_stay(field_exprs, phi_exprs, x, t, t_stop, horizon, hmax,
         step = horizon - t
         if step > hmax:
             step = hmax
-        xn = _textbook_rk4(field, x, step)
+        try:
+            xn = _textbook_rk4(field, x, step)
+        except (OverflowError, ZeroDivisionError, ValueError) as err:
+            raise_float_error(err, x, t, step)
         for v in xn:
             if not isfinite(v):
                 raise NonFiniteStateError(
@@ -484,6 +491,92 @@ def reference_bisect_crossing():
 @pytest.fixture(scope="session")
 def reference_bisect_crossings():
     return _reference_bisect_crossings
+
+
+def _reference_run_feasible(tga, timed_sequence, initial_valuation=None,
+                             final_dwell=0.0, tol=ta.GUARD_TOL):
+    """`tga.run_feasible` as it was before its forward pass, the reference
+    for it: a depth-first search with an explicit stack that, when several
+    transitions connect a pair, tries each and backtracks over them."""
+    if not timed_sequence:
+        return ta.RunReport(feasible=True)
+    v0 = (initial_valuation if initial_valuation is not None
+          else ta.zero_valuation(tga.k))
+    violations = []
+    last = len(timed_sequence) - 1
+
+    def successors(i, name, v, t_now):
+        """States entered from step i, in candidate order; failures are logged."""
+        next_name, next_t = timed_sequence[i + 1]
+        dt = next_t - t_now
+        if dt < -tol:
+            violations.append({"step": i, "kind": "time-order", "location": name,
+                               "detail": "entry times decrease"})
+            return
+        dt = max(dt, 0.0)
+        v_delayed = ta.delay(v, dt)
+        if not ta._invariant_ok(tga.invariant_of(name), v_delayed, tol):
+            violations.append({
+                "step": i, "kind": "invariant", "location": name,
+                "detail": "dwell %.6g violates invariant %s"
+                          % (dt, tga.invariant_of(name))})
+            return
+        candidates = [t for t in tga.outgoing(name) if t.target == next_name]
+        if not candidates:
+            violations.append({"step": i, "kind": "missing-edge",
+                               "location": name,
+                               "detail": "no transition to %s" % next_name})
+            return
+        for t in candidates:
+            if not ta._guard_ok(t.guard, v_delayed, tol):
+                violations.append({
+                    "step": i, "kind": "guard", "location": name,
+                    "detail": "guard %s unsatisfied at valuation %s"
+                              % (t.guard, v_delayed)})
+                continue
+            try:
+                v2 = ta.apply_update(v_delayed, t.update)
+            except ta.NegativeClockError as err:
+                violations.append({"step": i, "kind": "negative-clock",
+                                   "location": name, "detail": str(err)})
+                continue
+            if not ta._invariant_ok(tga.invariant_of(next_name), v2, tol):
+                violations.append({
+                    "step": i, "kind": "invariant", "location": next_name,
+                    "detail": "entry valuation %s violates invariant" % (v2,)})
+                continue
+            yield i + 1, next_name, v2, next_t
+
+    name0, t0 = timed_sequence[0]
+    if not ta._invariant_ok(tga.invariant_of(name0), v0, tol):
+        violations.append({"step": 0, "kind": "invariant", "location": name0,
+                           "detail": "initial valuation violates invariant"})
+        return ta.RunReport(feasible=False, violations=violations)
+    stack = [iter([(0, name0, v0, t0)])]
+    while stack:
+        state = next(stack[-1], None)
+        if state is None:
+            stack.pop()
+            continue
+        i, name, v, t_now = state
+        if i < last:
+            stack.append(successors(i, name, v, t_now))
+            continue
+        if final_dwell > 0 and not ta._invariant_ok(
+                tga.invariant_of(name), ta.delay(v, final_dwell), tol):
+            violations.append({
+                "step": i, "kind": "invariant", "location": name,
+                "detail": "final dwell %.6g exceeds the invariant" % final_dwell})
+            continue
+        return ta.RunReport(feasible=True, violations=[],
+                            steps=len(timed_sequence), final_valuation=v)
+    return ta.RunReport(feasible=False, violations=violations,
+                        steps=len(timed_sequence))
+
+
+@pytest.fixture(scope="session")
+def reference_run_feasible():
+    return _reference_run_feasible
 
 
 # Two specs outside the linear-quadratic class: ROADMAP item 9's pendulum

@@ -398,7 +398,8 @@ def _stay_outcome(stay, phis, args):
         return [_bits(v) for v in (t, *x, h)] + (
             ["horizon"] if xn is None else [_bits(v) for v in xn]) + [
             steps] + [_bits(v) for v in (t_prev, *x_prev)]
-    except (ArithmeticError, ValueError, NonFiniteStateError) as err:
+    except (ArithmeticError, ValueError, NonFiniteStateError,
+            EvalDomainError) as err:
         return type(err), str(err)
 
 

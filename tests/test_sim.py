@@ -232,8 +232,8 @@ class TestFusedStep:
     ])
     def test_float_error_at_a_later_step(self, ex1d, dynamics, x0, error,
                                          message):
-        """The stay that fails is replayed through the step function, so the
-        error names the step that failed, not the stay's first."""
+        """The stay kernel maps the error where it is raised, so it names
+        the step that failed, not the stay's first."""
         sysx = lg.ControlSystem(n=1, m=1, domain=ex1d.box,
                                 f=(ex.parse_expression(dynamics, 1, 1),))
         kappa = {c: "g0" for c in ex1d.complex.cell_ids()}
@@ -356,16 +356,20 @@ class TestReplayedTrajectory:
         ("example1d", "[-1,1]"), ("phase_plane", (0.5, 0.0))])
     def test_check_sound_replays_no_stay(self, monkeypatch, name, goal):
         """A `check_sound` batch reads each trace's run and step error only,
-        so it never builds samples: it replays no stay. Reading one trace's
-        trajectory afterwards replays each of its visits once."""
+        so it never builds samples: it calls no walker. Reading one trace's
+        trajectory afterwards calls the walker once per visit."""
         replays = []
-        real = sm._replay
+        real = ex.compile_walk
 
-        def counting(*args):
-            replays.append(args)
-            return real(*args)
+        def counting_walk(field_exprs):
+            walk = real(field_exprs)
 
-        monkeypatch.setattr(sm, "_replay", counting)
+            def counting(*args):
+                replays.append(args)
+                return walk(*args)
+            return counting
+
+        monkeypatch.setattr(sm.ex, "compile_walk", counting_walk)
         spec, auto, complex, strategy = demo_reach(name, goal)
         report = cf.check_sound(spec.system, auto, strategy,
                                 complex.cell_ids(), samples=6, horizon=3.0,
@@ -381,6 +385,81 @@ class TestReplayedTrajectory:
                                      controls=spec.controls)
         assert len(tr.trajectory) > 1
         assert len(replays) == len(tr.visits)
+
+
+class TestNanPhiStrip:
+    """phi is x1^2 at every grid point and nan on a strip around x1 = 4/3
+    narrower than the grid spacing. A step that lands in the strip leaves
+    the stay kernel without a crossing; the simulator takes that step
+    itself and calls the kernel again, so the first visit spans three
+    kernel calls, and its walker must take the same steps in one call."""
+
+    PHI = ("x1^2 + 0*(1e200*(abs(0.03 - abs(x1 - 1.3333333333333333))"
+           " + (0.03 - abs(x1 - 1.3333333333333333))))^2")
+    STEP = 0.0188514
+
+    @pytest.fixture(scope="class")
+    def strip(self, ex1d):
+        fam = lg.PartitioningFamily(
+            index=1, phi=ex.parse_expression(self.PHI, 1, 0),
+            levels=(0.0, 1.0, 9.0))
+        controls = [ex1d.g0]
+        eq = {"g0": ex1d.equilibria["g0"]}
+        with np.errstate(over="ignore", invalid="ignore"):
+            complex = lg.build_cells([fam], ex1d.box, grid=64)
+            signs = lg.admissibility_map(ex1d.sys, controls, [fam], grid=128,
+                                         equilibria=eq)
+            bounds = lg.compute_bounds(
+                ex1d.sys, controls, [fam],
+                {1: lg.build_slices(fam, ex1d.box, grid=64)}, grid=64,
+                equilibria=eq)
+            auto = lg.build_tga(ex1d.sys, complex, controls, bounds, signs,
+                                mode="cells")
+        kappa = {c: "g0" for c in complex.cell_ids()}
+        tr = lg.simulate_closed_loop(ex1d.sys, kappa, complex, (2.5,), 10.0,
+                                     self.STEP, controls=controls)
+        return fam, complex, auto, kappa, tr
+
+    def test_samples_are_textbook_rk4_steps(self, ex1d, strip, textbook_rk4):
+        fam, _, _, _, tr = strip
+        phi = ex.compile_scalar(fam.phi)
+        field = ex.compile_field(ex1d.sys.closed_loop(ex1d.g0))
+        event_times = {e.time for e in tr.events}
+        times = tr.trajectory.times.tolist()
+        states = tr.trajectory.states[:, 0].tolist()
+        # the two samples in the strip lie inside the first visit
+        assert [i for i, x in enumerate(states) if math.isnan(phi((x,)))] == [
+            33, 34]
+        checked = 0
+        for i in range(1, len(times)):
+            if times[i] in event_times:
+                continue
+            step = min(self.STEP, 10.0 - times[i - 1])
+            assert (states[i],) == textbook_rk4(field, (states[i - 1],), step)
+            assert times[i] == times[i - 1] + step
+            checked += 1
+        assert checked == len(times) - 1 - len(tr.events)
+
+    def test_visits_and_events(self, strip):
+        _, _, _, _, tr = strip
+        assert tr.visits == [("c2-1", "g0", 0), ("c1-0", "g0", 49)]
+        assert tr.stay_steps == [48, 482]
+        assert not tr.exited
+        [e] = tr.events
+        assert (e.family, e.level, e.old_cell, e.new_cell, e.kind) == (
+            1, 1.0, "c2-1", "c1-0", "level")
+        assert (e.time.hex(), e.state[0].hex()) == (
+            "0x1.d5240f1661e44p-1", "0x1.ffffffffff0d0p-1")
+
+    def test_check_sound_embeds_the_trace(self, ex1d, strip, monkeypatch):
+        _, complex, auto, kappa, tr = strip
+        monkeypatch.setattr(complex, "uniform_point_in",
+                            lambda cell, rng: (2.5,))
+        report = cf.check_sound(ex1d.sys, auto, kappa, ["c2-1"], samples=1,
+                                horizon=10.0, step=self.STEP,
+                                controls=[ex1d.g0])
+        assert report.traces == 1
+        assert report.violations == []
 
 
 class TestTrajectoryShape:

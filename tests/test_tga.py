@@ -560,3 +560,126 @@ phase_plane extended-cells
 (e5.4,firm) (e5.3,firm) u2 u
 (e5.4,firm) (e5.4,brake) c:brake c
 """
+
+
+@pytest.fixture(scope="module")
+def built_automata():
+    """(label, automaton): both demos in both modes, and the 34 automata
+    that restrict each demo's cells-mode automaton to a strategy: every
+    constant strategy, and the reach and the safety strategy of every
+    single goal or avoid cell (8 on example1d, 26 on phase_plane)."""
+    import lyagate.game as gm
+    autos = []
+    for spec in ("example1d", "phase_plane"):
+        pipe = cli.Pipeline(cli.SystemSpec.load(
+            os.path.join(SPEC_DIR, spec + ".json")))
+        autos += [("%s %s" % (spec, mode), pipe.automaton(mode))
+                  for mode in ("cells", "extended-cells")]
+        auto = pipe.automaton("cells")
+        cells = auto.cells()
+        strategies = [("const:" + g, {c: g for c in cells})
+                      for g in auto.controls()]
+        for c in cells:
+            strategies.append(("reach:" + c,
+                               gm.synthesize_reach(auto, [c]).strategy))
+            strategies.append(("safety:" + c,
+                               gm.synthesize_safety(auto, [c]).strategy))
+        autos += [("%s %s" % (spec, label), gm.restrict(auto, strategy))
+                  for label, strategy in strategies]
+    return autos
+
+
+def test_one_transition_per_pair_outside_sink(built_automata):
+    """`run_feasible` never backtracks, which is exact only while no two
+    transitions share a (source, target) pair unless the target is sink."""
+    assert len(built_automata) == 4 + 34
+    for label, auto in built_automata:
+        pairs = [(t.source, t.target) for t in auto.transitions
+                 if t.target != "sink"]
+        assert len(pairs) == len(set(pairs)), label
+
+
+def _with_parallel_sink_edges(auto):
+    """``auto`` with a second sink edge before each sink edge, whose guard
+    asks three times as much of c2 and whose update keeps the clocks: a run
+    into sink may meet two candidates, of which the first can fail where
+    the second fires, and the final valuation shows which one fired."""
+    transitions = []
+    for t in auto.transitions:
+        if t.target == "sink":
+            transitions.append(ta.Transition(
+                source=t.source, target="sink", action=t.action, kind="u",
+                guard=tuple((fam, 3.0 * thr) for fam, thr in t.guard),
+                update=ta.UpdateMap.of({}), family=t.family))
+        transitions.append(t)
+    return ta.TimedGameAutomaton(
+        mode=auto.mode, k=auto.k, locations=auto.locations,
+        initial=auto.initial, invariants=auto.invariants,
+        transitions=transitions, bounds=auto.bounds, signs=auto.signs,
+        complex=auto.complex)
+
+
+@st.composite
+def _timed_run(draw, auto):
+    """A timed location sequence through ``auto``: each step mostly follows
+    an outgoing transition (one in ten jumps to any location, which may be
+    a missing edge), its entry time moves by a delay that may be negative,
+    and sink ends it. Also an initial valuation (or None), a final dwell and
+    a tolerance."""
+    names = sorted(auto.locations)
+    name = draw(st.sampled_from([n for n in names if n != "sink"]))
+    t = draw(st.floats(0.0, 5.0))
+    seq = [(name, t)]
+    for _ in range(draw(st.integers(0, 6))):
+        targets = sorted({tr.target for tr in auto.outgoing(name)})
+        if draw(st.integers(0, 9)) == 0 or not targets:
+            targets = names
+        name = draw(st.sampled_from(targets))
+        t += draw(st.floats(-0.5, 6.0))
+        seq.append((name, t))
+        if name == "sink":
+            break
+    clock = st.floats(0.0, 6.0)
+    v0 = draw(st.none() | st.tuples(*[st.tuples(clock, clock)] * auto.k))
+    final_dwell = draw(st.sampled_from([0.0, 0.5, 3.0, 20.0]))
+    tol = draw(st.sampled_from([ta.GUARD_TOL, 1e-6, 0.5]))
+    return seq, dict(initial_valuation=v0, final_dwell=final_dwell, tol=tol)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_forward_pass_matches_search(built_automata, reference_run_feasible,
+                                     ex1d, data):
+    """On the built automata, and on example1d's with doubled sink edges,
+    the forward pass reports what the depth-first search it replaced
+    reports: feasibility, every violation in order, steps and the final
+    valuation."""
+    auto = data.draw(st.sampled_from([a for _, a in built_automata])
+                     | st.just(_with_parallel_sink_edges(ex1d.tga)))
+    seq, kwargs = data.draw(_timed_run(auto))
+    got = ta.run_feasible(auto, seq, **kwargs)
+    want = reference_run_feasible(auto, seq, **kwargs)
+    assert (got.feasible, got.violations, got.steps, got.final_valuation) == (
+        want.feasible, want.violations, want.steps, want.final_valuation)
+
+
+def test_first_sink_edge_that_fires(ex1d, reference_run_feasible):
+    """With two sink edges from one location, a run into sink goes on with
+    the first that fires, logging the guard of any before it, as the search
+    did."""
+    auto = _with_parallel_sink_edges(ex1d.tga)
+    name = loc(ex1d, "right", "g2x")
+    first, second = [t for t in auto.outgoing(name) if t.target == "sink"]
+    thr = second.guard[0][1]
+    for dwell, fired in ((0.5 * thr, None), (2.0 * thr, second),
+                         (4.0 * thr, first)):
+        seq = [(name, 0.0), ("sink", dwell)]
+        got = ta.run_feasible(auto, seq)
+        want = reference_run_feasible(auto, seq)
+        assert (got.feasible, got.violations, got.final_valuation) == (
+            want.feasible, want.violations, want.final_valuation)
+        if fired is None:
+            assert [v["kind"] for v in got.violations] == ["guard", "guard"]
+        else:
+            assert got.final_valuation == ta.apply_update(
+                ta.delay(ta.zero_valuation(1), dwell), fired.update)
