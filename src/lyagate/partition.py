@@ -31,6 +31,7 @@ DEFAULT_GRID = 64
 MAX_FACET_POINTS = 32
 EPS_FACE = 1e-9          # relative half-width of the boundary tag in locate()
 LEVEL_EPS_FACE = 1e-7    # the same for points sampled on a level
+_DRAW_BLOCK = 16         # most candidates uniform_point_in draws at once
 
 
 @dataclass(frozen=True)
@@ -347,16 +348,59 @@ class CellComplex:
         return self.locate(x).primary
 
     def uniform_point_in(self, cell_id, rng, max_tries=4096):
-        """Rejection-sample an interior point of the cell (bbox proposal)."""
-        lo, hi = self.cell(cell_id).bbox
+        """Rejection-sample an interior point of the cell (bbox proposal).
+
+        Candidate i is ``lo + rng.random(d) * (hi - lo)`` over the i-th of
+        consecutive ``rng.random(d)`` draws. The point returned is the first
+        candidate that ``locate`` puts in the cell and on no level, and the
+        generator is left as after drawing that candidate; after drawing
+        ``max_tries`` candidates when there is none, and EmptySliceError is
+        raised. A candidate that ``locate`` refuses raises its error.
+
+        The first candidate goes to ``locate``. After it, candidates come in
+        blocks of up to ``_DRAW_BLOCK`` rows from one ``rng.random((m, d))``
+        call, which fills rows in the order of m calls of ``random(d)``. A
+        row is passed over by its band stage (``_band_tuples``) alone when
+        it lies on a level, or when its one band tuple is not the cell's.
+        The first other row goes to ``locate``: the generator is reset to
+        before the block and draws that row again, with the rows before it.
+        """
+        cell = self.cell(cell_id)
+        lo, hi = cell.bbox
         lo = np.asarray(lo)
-        hi = np.asarray(hi)
-        for _ in range(max_tries):
-            x = lo + rng.random(len(lo)) * (hi - lo)
+        span = np.asarray(hi) - lo
+        d = len(lo)
+        tries = 0
+        while tries < max_tries:
+            if tries == 0:
+                x = lo + rng.random(d) * span
+                tries = 1
+            else:
+                m = min(_DRAW_BLOCK, max_tries - tries)
+                saved = rng.bit_generator.state
+                rows = (lo + rng.random((m, d)) * span).tolist()
+                j = next((j for j, row in enumerate(rows)
+                          if not self._rules_out(row, cell.y)), None)
+                if j is None:
+                    tries += m
+                    continue
+                rng.bit_generator.state = saved
+                x = (lo + rng.random((j + 1, d)) * span)[j]
+                tries += j + 1
             res = self.locate(tuple(x))
             if res.primary == cell_id and not res.boundary_families:
                 return tuple(float(v) for v in x)
         raise EmptySliceError("could not sample an interior point of %s" % cell_id)
+
+    def _rules_out(self, x, y):
+        """True when ``locate`` would put x in no cell of band tuple y or on
+        a level, by the band stage alone; False when it may do neither or
+        refuses x."""
+        try:
+            ys, boundary_families = _band_tuples(x, self)
+        except OutOfDomainError:
+            return False
+        return bool(boundary_families) or ys[0] != y
 
     def to_dict(self):
         return {
@@ -662,8 +706,17 @@ def _band_options(v, levels, band_count, eps_face):
     band below it). When v lies within ``eps_face * max(1, |a|)`` of a level
     a (the first such level), the bands on both sides of a, clipped the
     same way, are options too.
+
+    No level is within reach when the two levels beside v are farther than
+    the widest reach of the stack: a rounded difference only grows with the
+    distance between the values, so every other level is farther still.
     """
-    h = min(max(bisect_left(levels, v), 1), band_count)
+    i = bisect_left(levels, v)
+    h = min(max(i, 1), band_count)
+    reach = eps_face * max(1.0, abs(levels[0]), abs(levels[-1]))
+    if ((i == 0 or v - levels[i - 1] > reach)
+            and (i == len(levels) or levels[i] - v > reach)):
+        return [h]
     for j, a in enumerate(levels):
         if abs(v - a) <= eps_face * max(1.0, abs(a)):
             # bands j (below a) and j + 1 (above a), clipped like h
@@ -671,16 +724,11 @@ def _band_options(v, levels, band_count, eps_face):
     return [h]
 
 
-def locate(x, complex: CellComplex, eps_face=EPS_FACE):
-    """Cell(s) containing x; points within eps_face of a level get both sides.
-
-    Per family, ``_band_options`` gives the bands phi(x) allows, and a
-    family with two is listed in ``boundary_families``. Within each band
-    tuple of options that has cells, the candidate is the component whose
-    grid points lie nearest to x in Euclidean distance. ``cells`` holds the
-    candidates' ids, sorted; ``primary`` is the nearest candidate, ties
-    going to the smaller id. Distances are computed only when more than one
-    cell can hold x.
+def _band_tuples(x, complex: CellComplex, eps_face=EPS_FACE):
+    """The band stage of ``locate``: the band tuples with cells that may
+    hold x, in ``itertools.product`` order of the per-family
+    ``_band_options``, and the sorted indices of the families that allow
+    two bands (x lies on one of their levels).
 
     Raises OutOfDomainError when x lies outside the box, when some phi(x)
     is not finite, or when no cell has a matching band tuple.
@@ -702,18 +750,35 @@ def locate(x, complex: CellComplex, eps_face=EPS_FACE):
             boundary_families.append(index)
         band_options.append(options)
 
-    groups = [m for m in map(complex._cells_by_y.get,
-                             itertools.product(*band_options)) if m]
-    if not groups:
+    ys = [y for y in itertools.product(*band_options)
+          if y in complex._cells_by_y]
+    if not ys:
         raise OutOfDomainError("no cell found for point %s"
                                % format_point(xt))
-    boundary_families = tuple(sorted(set(boundary_families)))
+    return ys, tuple(sorted(set(boundary_families)))
+
+
+def locate(x, complex: CellComplex, eps_face=EPS_FACE):
+    """Cell(s) containing x; points within eps_face of a level get both sides.
+
+    Per family, ``_band_options`` gives the bands phi(x) allows, and a
+    family with two is listed in ``boundary_families``. Within each band
+    tuple of options that has cells, the candidate is the component whose
+    grid points lie nearest to x in Euclidean distance. ``cells`` holds the
+    candidates' ids, sorted; ``primary`` is the nearest candidate, ties
+    going to the smaller id. Distances are computed only when more than one
+    cell can hold x.
+
+    Raises OutOfDomainError as ``_band_tuples`` does.
+    """
+    ys, boundary_families = _band_tuples(x, complex, eps_face)
+    groups = [complex._cells_by_y[y] for y in ys]
     if len(groups) == 1 and len(groups[0]) == 1:
         cid = groups[0][0][0]
         return LocateResult(primary=cid, cells=(cid,),
                             boundary_families=boundary_families)
 
-    xf = [float(v) for v in xt]
+    xf = [float(v) for v in x]
     candidates = []
     for matching in groups:
         best = None

@@ -10,11 +10,14 @@ inline, while the state stays in the box and every phi in the cell's band.
 It records nothing per step: it returns how many steps it accepted, and it
 turns a float error of the field into the package's own at the step that
 raised it. The first step that leaves goes to the event code: a non-finite
-state is an error, and the earliest crossing of a level or a box face is
-localized by bisection on phi(x(t)) - a (or x_d(t) - a) within the step
-(the dense state comes from re-taking the step with a shorter length, so
-event states are exactly reproducible). Leaving the box, or crossing a
-level with no cell on the other side, ends the trace with a sink event.
+state is an error, and the first crossing of a level or a box face (1e-12
+outside it, the kernel's own slack) inside that step is located to within
+``EVENT_TIME_TOL`` by one safeguarded Illinois search. Its probes re-take
+the step with shorter lengths, so event states are exactly reproducible
+RK4 states; each probe decides every crossed value, and the event is named
+by the first one past (levels by family, then faces). Leaving the box, or
+crossing a level with no cell on the other side, ends the trace with a
+sink event.
 More than 10 events inside a 10-step window aborts with a chattering error,
 the stand-in for sliding behaviour this toolkit does not model.
 
@@ -49,7 +52,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import isfinite, nan
 from operator import itemgetter
 from typing import Mapping
 
@@ -63,6 +66,8 @@ from .errors import (
 )
 from .partition import CellComplex
 
+# width of the bracket [lo, tau] an event is located in: no crossed value is
+# past at the RK4 state at lo, and the event's is past at the one at tau
 EVENT_TIME_TOL = 1e-10
 _EVENT_NUDGE = 1e-9      # fraction of a step used to probe the far side
 CHATTER_LIMIT = 10       # more events than this in as many steps is chattering
@@ -72,7 +77,7 @@ STEP_HORIZON = 10.0      # longest run default_step keeps within the budget
 # largest acceptable HybridTrace.step_error: a tenth of the replay
 # tolerance's 1e-6 modelling slack, so the integrator never uses it up
 STEP_ERROR_BUDGET = 1e-7
-_EVENT_ITERS = 80        # most halvings of a step that locate an event
+_LOCATE_PROBES = 16      # secant probes of an event before it bisects
 
 
 @dataclass
@@ -328,38 +333,31 @@ def simulate_closed_loop(sys, strategy, complex: CellComplex, x0, horizon, h, *,
                 raise NonFiniteStateError(
                     "non-finite state at t=%g" % (t + step))
 
-        # Earliest boundary event inside this step, if any: the levels of
-        # every family (no slack), then the box faces (1e-12 slack; the
-        # crossing is located on the face itself). Ties go to the first.
+        # Boundary events inside this step: the levels of every family, then
+        # the box faces, each with the threshold beyond which it is past (a
+        # face's includes the kernel's 1e-12 slack, so a level on a face is
+        # past first). The locator names the first value past at the event.
         levels = [(phi, lo, hi, 0.0, fam.index)
                   for fam, phi, (lo, hi) in zip(families, phi_fns, bands)]
-        best = None   # (tau, value, crossed, direction, family)
+        crossed = []   # (value, threshold, direction, family, level)
         for value, lo, hi, slack, family in levels + faces:
             v = value(xn)
             if v > hi + slack:
-                crossed, direction = hi, +1
+                crossed.append((value, hi + slack, +1, family, hi))
             elif v < lo - slack:
-                crossed, direction = lo, -1
-            else:
-                continue
-            tau = _bisect_event(
-                lambda s: value(_advance(step_fn, x, s, t)) - crossed,
-                step, value(x) - crossed)
-            if best is None or tau < best[0]:
-                best = (tau, value, crossed, direction, family)
+                crossed.append((value, lo - slack, -1, family, lo))
 
-        if best is None:
+        if not crossed:
             # only a nan phi stops the inner loop without a crossing
             t += step
             x = xn
             stay_steps[-1] += 1
             continue
 
-        tau, value, level, direction, family = best
+        k, _, tau, x_event = _locate_event(step_fn, x, t, step, xn, crossed)
+        value, _, direction, family, level = crossed[k]
         step_error = max(step_error, (stayed + 1) * _step_errors(
             step_fn, x, xn, step, t, [value])[0])
-        tau = max(tau, 1e-15)
-        x_event = _advance(step_fn, x, tau, t)
         t_event = t + tau
 
         recent.append(t_event)
@@ -444,20 +442,94 @@ def _step_errors(step_fn, x, xn, step, t, values):
     return errors
 
 
-def _bisect_event(fun, step, f0):
-    """First zero of fun on (0, step], to within EVENT_TIME_TOL; fun(step)
-    has the opposite sign of f0."""
-    s0 = f0 > 0
-    if (fun(step) > 0) == s0:
-        # already past the edge at the start of the step: immediate event
-        return min(EVENT_TIME_TOL, step)
-    lo, hi = 0.0, step
-    for _ in range(_EVENT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if (fun(mid) > 0) == s0:
-            lo = mid
+def _past(d, sign):
+    """Whether a value is past its threshold, from its distance ``d``
+    beyond it: above it (direction +1), or not above it (-1, where a nan
+    counts as past)."""
+    return d > 0.0 or sign < 0 and not d < 0.0
+
+
+def _locate_event(step_fn, x, t, step, xn, crossed):
+    """The first boundary event inside one RK4 step, by a safeguarded
+    Illinois search (Shampine & Thompson, Comput. Math. Appl. 39, 2000).
+
+    ``crossed`` lists ``(value, threshold, direction, ...)`` for every value
+    past its threshold (``_past``) at ``xn``, the state the step of length
+    ``step`` reaches from ``x`` at time ``t``, in naming order. Every probe
+    is ``RK4(x, s)`` for one ``s`` in ``(0, step]``, and past is decided for
+    all crossed values on it.
+
+    Returns ``(k, lo, tau, x_tau)``: ``tau`` in ``(0, step]`` with
+    ``tau - lo < EVENT_TIME_TOL``, where no crossed value is past at
+    ``RK4(x, lo)`` and ``crossed[k]`` is the first past at ``x_tau =
+    RK4(x, tau)``. When a value is already past at ``x``, the event is
+    immediate: ``tau = min(EVENT_TIME_TOL, step)``, ``lo = 0``, and ``k`` is
+    the first value past at ``x``.
+
+    Regula falsi runs on one value's distance past its threshold: first the
+    value whose secant over the step crosses zero first, then, whenever it
+    is not past at the bracket's far end, the first value that is. When the
+    same end of the bracket moves twice in a row, the other end's distance
+    is halved (Illinois), so neither end stays put. A probe never falls
+    within half a tolerance of an end; it is moved there instead, which
+    closes the bracket once the estimate is that close. After
+    ``_LOCATE_PROBES`` probes, on a distance that is not a number, or where
+    half a tolerance is below the spacing of floats, the probe is the
+    midpoint; on a step so long that the bracket reaches adjacent floats
+    before the tolerance, the search stops there.
+    """
+    tests = [entry[:3] for entry in crossed]
+
+    def scan(y):
+        """Each value's distance past its threshold at state y, and the
+        index of the first value past there (None when none is)."""
+        ds = []
+        first = None
+        for i, (value, thr, sign) in enumerate(tests):
+            d = (value(y) - thr) * sign
+            ds.append(d)
+            if first is None and _past(d, sign):
+                first = i
+        return ds, first
+
+    d_lo, k = scan(x)
+    if k is not None:
+        tau = min(EVENT_TIME_TOL, step)
+        return k, 0.0, tau, _advance(step_fn, x, tau, t)
+    lo, hi, x_hi = 0.0, step, xn
+    d_hi, k = scan(xn)
+    lead = 0
+    if len(tests) > 1:
+        firsts = [d / (d - e) if e - d > 0.0 else 1.0
+                  for d, e in zip(d_lo, d_hi)]
+        lead = firsts.index(min(firsts))
+    scale_lo = scale_hi = 1.0
+    side = 0                  # the end that moved last: -1 lo, +1 hi
+    half = 0.5 * EVENT_TIME_TOL
+    probes = 0
+    while hi - lo >= EVENT_TIME_TOL:
+        fa = d_lo[lead] * scale_lo
+        fb = d_hi[lead] * scale_hi
+        s = nan
+        if probes < _LOCATE_PROBES and fb - fa > 0.0:
+            s = min(max(lo - fa * (hi - lo) / (fb - fa), lo + half), hi - half)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+            if not lo < s < hi:
+                break         # lo and hi are adjacent floats
+        probes += 1
+        y = _advance(step_fn, x, s, t)
+        ds, first = scan(y)
+        if first is None:
+            lo, d_lo, scale_lo = s, ds, 1.0
+            if side < 0:
+                scale_hi *= 0.5
+            side = -1
         else:
-            hi = mid
-        if hi - lo < EVENT_TIME_TOL:
-            break
-    return hi
+            hi, d_hi, x_hi, k, scale_hi = s, ds, y, first, 1.0
+            if side > 0:
+                scale_lo *= 0.5
+            side = +1
+            if not _past(ds[lead], tests[lead][2]):
+                lead, scale_lo, side = first, 1.0, 0
+    return k, lo, hi, x_hi

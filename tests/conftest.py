@@ -168,6 +168,63 @@ def reference_stay():
     return _reference_stay
 
 
+def _reference_bisect_event(fun, step, f0):
+    """First zero of fun on (0, step], to within sim.EVENT_TIME_TOL; fun(step)
+    has the opposite sign of f0. The simulator's event bisection as first
+    written."""
+    s0 = f0 > 0
+    if (fun(step) > 0) == s0:
+        # already past the edge at the start of the step: immediate event
+        return min(1e-10, step)
+    lo, hi = 0.0, step
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if (fun(mid) > 0) == s0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    return hi
+
+
+def _reference_locate_event(step_fn, x, t, step, xn, crossed):
+    """The event code as first written, in the interface of
+    `sim._locate_event`: each crossed value bisected on its own to its level
+    or face (``_reference_bisect_event``), the earliest time winning and
+    ties going to the first, and the step taken again to that time. Its
+    ``lo`` is None: the bisections keep no common bracket."""
+    from lyagate import sim as sm
+    best = None
+    for k, (value, _, _, _, level) in enumerate(crossed):
+        tau = _reference_bisect_event(
+            lambda s: value(sm._advance(step_fn, x, s, t)) - level,
+            step, value(x) - level)
+        if best is None or tau < best[0]:
+            best = (tau, k)
+    tau = max(best[0], 1e-15)
+    return best[1], None, tau, sm._advance(step_fn, x, tau, t)
+
+
+@pytest.fixture(scope="session")
+def reference_locate_event():
+    return _reference_locate_event
+
+
+def _reference_uniform_point_in(complex, cell_id, rng, max_tries=4096):
+    """`CellComplex.uniform_point_in` as first written: one candidate per
+    ``rng.random(d)`` call, each located."""
+    lo, hi = complex.cell(cell_id).bbox
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    for _ in range(max_tries):
+        x = lo + rng.random(len(lo)) * (hi - lo)
+        res = complex.locate(tuple(x))
+        if res.primary == cell_id and not res.boundary_families:
+            return tuple(float(v) for v in x)
+    raise EmptySliceError("could not sample an interior point of %s" % cell_id)
+
+
 def _reference_locate(x, complex, eps_face=1e-9):
     """Point location as first written, the reference for `partition.locate`:
     np.searchsorted bands and, per band tuple, the cell whose grid points

@@ -15,11 +15,14 @@ from lyagate import expr as ex
 from lyagate import model as md
 from lyagate import partition as pt
 from lyagate.errors import (
-    CoverageError, LyagateError, ModelError, OutOfDomainError,
-    ResolutionError,
+    CoverageError, EmptySliceError, LyagateError, ModelError,
+    OutOfDomainError, ResolutionError,
 )
 
-from conftest import PENDULUM_SPEC, QUARTIC_SPEC, _random_linear_system
+from conftest import (
+    PENDULUM_SPEC, QUARTIC_SPEC, _random_linear_system,
+    _reference_uniform_point_in,
+)
 
 SPEC_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "specs")
 
@@ -300,11 +303,66 @@ def test_compile_bisect_is_memoized(nav2d):
             is ex.compile_bisect(nav2d.fam1.phi, 2))
 
 
+def _draw(draw, cell, seed, max_tries):
+    """What one draw returns (its point's bits, or its error) and where it
+    leaves a generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    try:
+        got = [v.hex() for v in draw(cell, rng, max_tries=max_tries)]
+    except LyagateError as err:
+        got = (type(err), str(err))
+    return got, rng.bit_generator.state
+
+
 class TestSampling:
     def test_exhausted_tries_raise_package_error(self, ex1d):
         rng = np.random.default_rng(0)
         with pytest.raises(LyagateError):
             ex1d.complex.uniform_point_in(ex1d.mid, rng, max_tries=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenario=st.sampled_from(["ex1d", "nav2d", "corners"]),
+           seed=st.integers(0, 2 ** 32 - 1), pick=st.integers(0, 11),
+           max_tries=st.sampled_from([0, 1, 2, 3, 17, 18, 40, 4096]))
+    def test_draw_matches_reference(self, ex1d, nav2d, corners, scenario,
+                                    seed, pick, max_tries):
+        """The block draw returns the one-at-a-time loop's point, bit for
+        bit, or its error, and leaves the generator where the loop does."""
+        cx = {"ex1d": ex1d, "nav2d": nav2d, "corners": corners}[
+            scenario].complex
+        cell = cx.cell_ids()[pick % len(cx.cells)]
+        assert _draw(cx.uniform_point_in, cell, seed, max_tries) == _draw(
+            lambda *a, **kw: _reference_uniform_point_in(cx, *a, **kw),
+            cell, seed, max_tries)
+
+    def test_block_draw_honours_max_tries(self, nav2d):
+        """On c5.3-0 (about 7% of its box candidates accepted), a seed whose
+        first 20 candidates are all refused raises after exactly 20
+        ``random(2)`` draws, across two blocks; no try draws nothing."""
+        cx, cell, k = nav2d.complex, "c5.3-0", 20
+
+        def refused(seed):
+            try:
+                _reference_uniform_point_in(
+                    cx, cell, np.random.default_rng(seed), max_tries=k)
+            except EmptySliceError:
+                return True
+            return False
+
+        seed = next(s for s in range(200) if refused(s))
+        rng = np.random.default_rng(seed)
+        with pytest.raises(EmptySliceError):
+            cx.uniform_point_in(cell, rng, max_tries=k)
+        want = np.random.default_rng(seed)
+        for _ in range(k):
+            want.random(2)
+        assert rng.bit_generator.state == want.bit_generator.state
+
+        rng = np.random.default_rng(seed)
+        with pytest.raises(EmptySliceError):
+            cx.uniform_point_in(cell, rng, max_tries=0)
+        assert (rng.bit_generator.state
+                == np.random.default_rng(seed).bit_generator.state)
 
 
 class TestLevelTouch:

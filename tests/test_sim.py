@@ -387,6 +387,155 @@ class TestReplayedTrajectory:
         assert len(replays) == len(tr.visits)
 
 
+def _past(value, thr, sign, y):
+    """A crossed value is past its threshold above it (+1), or when it is
+    not above it (-1)."""
+    v = value(y)
+    return v > thr if sign > 0 else not v > thr
+
+
+class TestEventLocator:
+    """One safeguarded Illinois search per step locates each event, and
+    takes the run the per-value bisection took."""
+
+    @staticmethod
+    def batch(name, goal, horizon, samples=96, seed=33):
+        spec, _, complex, strategy = demo_reach(name, goal)
+        cells = complex.cell_ids()
+        rng = np.random.default_rng(seed)
+        starts = [complex.uniform_point_in(cells[i % len(cells)], rng)
+                  for i in range(samples)]
+        return [lg.simulate_closed_loop(spec.system, strategy, complex, x0,
+                                        horizon, spec.default_step(),
+                                        controls=spec.controls)
+                for x0 in starts]
+
+    @pytest.mark.parametrize("name,goal,horizon", DEMO_REACH)
+    def test_same_runs_as_reference_bisection(self, name, goal, horizon,
+                                              monkeypatch,
+                                              reference_locate_event):
+        """96 seeded starts: the same location sequences, and events of the
+        same kind, family, level and cells, each within EVENT_TIME_TOL of
+        the bisection's time (measured worst 7e-11)."""
+        traces = self.batch(name, goal, horizon)
+        monkeypatch.setattr(sm, "_locate_event", reference_locate_event)
+        refs = self.batch(name, goal, horizon)
+        events, kinds = 0, set()
+        for tr, ref in zip(traces, refs):
+            assert [s[:2] for s in tr.location_sequence()] == [
+                s[:2] for s in ref.location_sequence()]
+            assert len(tr.events) == len(ref.events)
+            for e, r in zip(tr.events, ref.events):
+                assert (e.kind, e.family, e.level, e.old_cell, e.new_cell) == (
+                    r.kind, r.family, r.level, r.old_cell, r.new_cell)
+                assert abs(e.time - r.time) < sm.EVENT_TIME_TOL
+                events += 1
+                kinds.add(e.kind)
+        assert events >= len(traces) // 2
+        # phase_plane's batch leaves the box: faces are located too
+        assert kinds == ({"level", "domain"} if name == "phase_plane"
+                         else {"level"})
+
+    @pytest.mark.parametrize("name,goal,horizon", DEMO_REACH)
+    def test_bracket_contract(self, name, goal, horizon, monkeypatch):
+        """Every located event: tau in (0, step], the state at tau is the
+        RK4 step of that length, and the event's value is the first crossed
+        value past there; no crossed value is past at the bracket's start,
+        which lies within EVENT_TIME_TOL of tau, unless the event is
+        immediate."""
+        calls = []
+        real = sm._locate_event
+
+        def recording(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sm, "_locate_event", recording)
+        self.batch(name, goal, horizon, samples=48)
+        assert calls
+        for (step_fn, x, t, step, xn, crossed), (k, lo, tau, x_tau) in calls:
+            assert 0.0 < tau <= step
+            assert x_tau == step_fn(x, tau)
+            assert [_past(*c[:3], x_tau) for c in crossed].index(True) == k
+            at_x = [_past(*c[:3], x) for c in crossed]
+            if any(at_x):
+                assert (lo, tau) == (0.0, min(sm.EVENT_TIME_TOL, step))
+                assert at_x.index(True) == k
+                continue
+            assert 0.0 <= lo < tau and tau - lo < sm.EVENT_TIME_TOL
+            at_lo = step_fn(x, lo) if lo > 0.0 else x
+            assert not any(_past(*c[:3], at_lo) for c in crossed)
+
+    def test_rk4_calls_per_event_nav_embed(self, monkeypatch):
+        """A nav-embed batch takes at most 10 RK4 steps outside the stay
+        kernel per event: the locator's probes, the step-doubling halves of
+        each event and trace end, and the neighbour probes (about 7.9; the
+        per-value bisection took about 32)."""
+        spec, auto, complex, strategy = demo_reach("phase_plane", (0.5, 0.0))
+        h = spec.default_step()
+        steps, traces = [], []
+        real_step, real_sim = ex.compile_step, sm.simulate_closed_loop
+
+        def counting_step(field_exprs):
+            step = real_step(field_exprs)
+
+            def counting(x, h):
+                steps.append(h)
+                return step(x, h)
+            return counting
+
+        def recording(*args, **kwargs):
+            traces.append(real_sim(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(sm.ex, "compile_step", counting_step)
+        monkeypatch.setattr(sm, "simulate_closed_loop", recording)
+        cf.check_sound(spec.system, auto, strategy, complex.cell_ids(),
+                       samples=48, horizon=6.0, step=h, seed=[41, 0],
+                       controls=spec.controls)
+        events = sum(len(tr.events) for tr in traces)
+        assert len(traces) == 48 and events >= 3 * len(traces)
+        assert len(steps) <= 10 * events
+
+    def test_step_longer_than_the_tolerance_resolves(self):
+        """x1 moves at 1e-7 from -1 across the level 0 at t = 1e7 within one
+        step of 2e7, where floats lie 1.86e-9 apart: the search ends at
+        adjacent floats, one past the level."""
+        box = lg.Box((-3.0,), (3.0,))
+        sysd = lg.ControlSystem(n=1, m=1, domain=box, f=(
+            ex.parse_expression("1e-7 + 0*x1 + u1", 1, 1),))
+        g = lg.ControlLaw("z", (ex.parse_expression("0", 1, 0),))
+        fam = lg.PartitioningFamily(
+            index=1, phi=ex.parse_expression("x1", 1, 0),
+            levels=(-3.0, 0.0, 3.0))
+        cx = lg.build_cells([fam], box, grid=64, stability_check=False)
+        tr = lg.simulate_closed_loop(sysd, {c: "z" for c in cx.cell_ids()},
+                                     cx, (-1.0,), 2e7, 2e7, controls=[g])
+        e = tr.events[0]
+        assert (e.kind, e.level) == ("level", 0.0)
+        assert 1e7 < e.time <= 1e7 + 2 * math.ulp(1e7)
+
+    @pytest.mark.parametrize("step", [None, 1e-3])
+    def test_level_on_a_face_wins_the_tie(self, ex1d, step):
+        """On example1d the top level phi = 9 is the box face |x1| = 3.
+        Under g2x, 20 starts in each outer band leave through that level
+        into the sink, never by a domain exit: the level is past first,
+        1e-12 before the face's slack, and ``check_dwell`` counts a
+        traversal only when a level of its family closes the stay."""
+        h = step or lg.default_step(ex1d.sys, ex1d.controls, ex1d.families)
+        kappa = {c: "g2x" for c in ex1d.complex.cell_ids()}
+        rng = np.random.default_rng(9)
+        for cell in (ex1d.left, ex1d.right):
+            for _ in range(20):
+                x0 = ex1d.complex.uniform_point_in(cell, rng)
+                tr = lg.simulate_closed_loop(ex1d.sys, kappa, ex1d.complex,
+                                             x0, 10.0, h,
+                                             controls=ex1d.controls)
+                e = tr.events[-1]
+                assert (e.kind, e.family, e.level, e.new_cell) == (
+                    "level", 1, 9.0, "sink")
+
+
 class TestNanPhiStrip:
     """phi is x1^2 at every grid point and nan on a strip around x1 = 4/3
     narrower than the grid spacing. A step that lands in the strip leaves
@@ -449,7 +598,7 @@ class TestNanPhiStrip:
         assert (e.family, e.level, e.old_cell, e.new_cell, e.kind) == (
             1, 1.0, "c2-1", "c1-0", "level")
         assert (e.time.hex(), e.state[0].hex()) == (
-            "0x1.d5240f1661e44p-1", "0x1.ffffffffff0d0p-1")
+            "0x1.d5240f1662f0cp-1", "0x1.fffffffffe008p-1")
 
     def test_check_sound_embeds_the_trace(self, ex1d, strip, monkeypatch):
         _, complex, auto, kappa, tr = strip
